@@ -9,11 +9,15 @@
 // max_depth, tiny max_document_bytes, trailing content allowed) and, in its
 // high half (selector >= 4), turns annotation collection on: the same four
 // option variants re-run with an Annotation accumulator, cross-checking that
-// annotating changes no accept/reject decision or type, and that the
+// annotating changes no accept/reject decision or type, that the
 // tokenizer-driven collection agrees exactly with the DOM-walk ObserveValue
-// (annotate/annotation.h). The second byte selects the SIMD kernel the
-// direct path runs under (modulo the kernels this host actually has, so
-// every corpus entry is meaningful on every machine). The direct pass
+// (annotate/annotation.h), that a rejected document leaves the accumulator
+// at the identity, and that observing into an accumulator already past
+// every bounded-component cap equals merging the document's DOM annotation
+// into it (observe == merge, the law that lets collectors fold records
+// straight into a shared accumulator). The second byte selects the SIMD
+// kernel the direct path runs under (modulo the kernels this host actually
+// has, so every corpus entry is meaningful on every machine). The direct pass
 // additionally runs under the scalar kernel and both results are
 // cross-checked — a vector kernel that mis-scans any byte sequence shows
 // up as a scalar/vector divergence even when the DOM comparison alone
@@ -36,6 +40,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -111,6 +116,40 @@ void CheckStreamParity(std::string_view doc, size_t buffer_bytes,
       !one_shot.Snapshot().type->Equals(*pumped.Snapshot().type)) {
     Fail("pipeline type mismatch", doc);
   }
+}
+
+// An accumulator past every cap: more than kShapeCap shapes at the root and
+// in a nested record, a shape with more than kShapeFieldCap scalar fields,
+// and more than kDistinctSampleCap distinct values at the root, in fields
+// and in array items — over short keys a fuzzed document is likely to hit.
+const jsonsi::annotate::Annotation& SaturatedSeed() {
+  static const jsonsi::annotate::Annotation* seed = [] {
+    auto* ann = new jsonsi::annotate::Annotation();
+    auto observe = [ann](const std::string& text) {
+      auto v = jsonsi::json::Parse(text);
+      if (!v.ok()) Fail("unparsable saturation seed", text);
+      jsonsi::annotate::ObserveValue(*v.value(), ann);
+    };
+    const char* kKeys[] = {"", "a", "b", "x", "id", "type"};
+    for (int i = 0; i < 80; ++i) {
+      const std::string n = std::to_string(i);
+      const std::string key = std::string("\"") + kKeys[i % 6] + "\":";
+      // 41 scalar fields in one shape.
+      std::string wide = "{";
+      for (int f = 0; f < 40; ++f) {
+        wide += "\"f" + std::to_string(f) + "\":" + n + ",";
+      }
+      observe(wide + key + "\"v" + n + "\"}");
+      // A new shape per i, at the root and under "n".
+      const std::string k = "\"k" + n + "\":";
+      const std::string items = "[" + n + ",\"s" + n + "\",{" + k + "null}]";
+      observe("{" + k + n + "," + key + items + ",\"n\":{" + k + "true}}");
+      observe(n);
+      observe("[\"" + n + "\"," + n + ",[" + n + "]]");
+    }
+    return ann;
+  }();
+  return *seed;
 }
 
 }  // namespace
@@ -189,6 +228,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     if (parsed.status().message() != direct.status().message()) {
       Fail("status message mismatch", doc);
     }
+    // A rejected document is never observed, however late it fails.
+    static const jsonsi::annotate::Annotation kIdentity;
+    if (!ann_scalar.Equals(kIdentity) || !ann_vector.Equals(kIdentity)) {
+      Fail("rejected document modified the accumulator", doc);
+    }
     return 0;
   }
   jsonsi::types::TypeRef via_dom =
@@ -210,6 +254,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     jsonsi::annotate::Annotation ann_dom;
     jsonsi::annotate::ObserveValue(*parsed.value(), &ann_dom);
     if (!ann_dom.Equals(ann_vector)) Fail("DOM annotation mismatch", doc);
+
+    // Observe == merge, past the caps.
+    jsonsi::annotate::Annotation observed = SaturatedSeed().Clone();
+    if (!jsonsi::inference::DirectInferType(doc, options, &observed).ok()) {
+      Fail("saturated accumulator changed the verdict", doc);
+    }
+    jsonsi::annotate::Annotation merged = SaturatedSeed().Clone();
+    merged.MergeFrom(ann_dom);
+    if (!observed.Equals(merged)) Fail("observe != merge past the caps", doc);
   }
   return 0;
 }

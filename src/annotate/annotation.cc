@@ -16,24 +16,39 @@ using json::ValueRef;
 
 // -- Scalar encodings -------------------------------------------------------
 
-std::string EncodeNull() { return "z"; }
+namespace {
 
-std::string EncodeBool(bool b) { return b ? "b1" : "b0"; }
-
-std::string EncodeNum(double n) {
+// The encoders write into a caller's buffer so the observers can reuse one.
+void EncodeNumInto(double n, std::string* out) {
   // Shortest round-trip form, the same on every path because every path
   // parses numbers through the same std::from_chars scan.
   if (n == 0) n = 0.0;  // one encoding for -0.0/0.0, matching MinMax
   char buf[32];
   std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), n);
-  std::string out = "n";
-  out.append(buf, r.ptr);
+  out->assign(1, 'n');
+  out->append(buf, r.ptr);
+}
+
+void EncodeStrInto(std::string_view unescaped, std::string* out) {
+  out->assign(1, 's');
+  out->append(unescaped);
+}
+
+}  // namespace
+
+std::string EncodeNull() { return "z"; }
+
+std::string EncodeBool(bool b) { return b ? "b1" : "b0"; }
+
+std::string EncodeNum(double n) {
+  std::string out;
+  EncodeNumInto(n, &out);
   return out;
 }
 
 std::string EncodeStr(std::string_view unescaped) {
-  std::string out = "s";
-  out.append(unescaped);
+  std::string out;
+  EncodeStrInto(unescaped, &out);
   return out;
 }
 
@@ -212,8 +227,7 @@ bool DistinctSketch::Equals(const DistinctSketch& other) const {
 
 // -- ShapeInfo --------------------------------------------------------------
 
-void ShapeInfo::ObserveField(const std::string& key,
-                             std::string_view encoded) {
+void ShapeInfo::ObserveField(std::string_view key, std::string_view encoded) {
   auto it = field_values.find(key);
   if (it == field_values.end()) {
     if (field_values.size() >= kShapeFieldCap) {
@@ -222,7 +236,7 @@ void ShapeInfo::ObserveField(const std::string& key,
       if (key > last->first) return;  // beyond the kept bottom-K of keys
       field_values.erase(last);
     }
-    it = field_values.emplace(key, DistinctSample{}).first;
+    it = field_values.emplace(std::string(key), DistinctSample{}).first;
   }
   it->second.Observe(encoded);
 }
@@ -259,31 +273,35 @@ void Annotation::ObserveScalar(std::string_view encoded) {
   sketch.Observe(encoded);
 }
 
-void Annotation::ObserveNull() {
+void Annotation::ObserveNull(std::string* encoded) {
   ++count;
   ++null_count;
-  ObserveScalar(EncodeNull());
+  *encoded = EncodeNull();
+  ObserveScalar(*encoded);
 }
 
-void Annotation::ObserveBool(bool b) {
+void Annotation::ObserveBool(bool b, std::string* encoded) {
   ++count;
   ++bool_count;
   if (b) ++true_count;
-  ObserveScalar(EncodeBool(b));
+  *encoded = EncodeBool(b);
+  ObserveScalar(*encoded);
 }
 
-void Annotation::ObserveNum(double n) {
+void Annotation::ObserveNum(double n, std::string* encoded) {
   ++count;
   ++num_count;
   num_range.Observe(n);
-  ObserveScalar(EncodeNum(n));
+  EncodeNumInto(n, encoded);
+  ObserveScalar(*encoded);
 }
 
-void Annotation::ObserveStr(std::string_view unescaped) {
+void Annotation::ObserveStr(std::string_view unescaped, std::string* encoded) {
   ++count;
   ++str_count;
   str_len.Observe(unescaped.size());
-  ObserveScalar(EncodeStr(unescaped));
+  EncodeStrInto(unescaped, encoded);
+  ObserveScalar(*encoded);
 }
 
 void Annotation::ObserveRecordOpen() {
@@ -312,9 +330,8 @@ Annotation* Annotation::ItemsEntry() {
   return items.get();
 }
 
-void Annotation::ObserveShape(
-    const std::string& signature,
-    const std::vector<std::pair<std::string, std::string>>& scalar_fields) {
+void Annotation::ObserveShape(std::string_view signature,
+                              std::span<const ScalarField> scalar_fields) {
   auto it = shapes.find(signature);
   if (it == shapes.end()) {
     if (shapes.size() >= kShapeCap) {
@@ -323,12 +340,12 @@ void Annotation::ObserveShape(
       if (signature > last->first) return;
       shapes.erase(last);
     }
-    it = shapes.emplace(signature, ShapeInfo{}).first;
+    it = shapes.emplace(std::string(signature), ShapeInfo{}).first;
   }
   ShapeInfo& info = it->second;
   ++info.count;
-  for (const auto& [key, encoded] : scalar_fields) {
-    info.ObserveField(key, encoded);
+  for (const ScalarField& f : scalar_fields) {
+    info.ObserveField(f.key, f.encoded);
   }
 }
 
@@ -430,56 +447,61 @@ uint64_t Annotation::TreeNodes() const {
 
 // -- DOM collection ---------------------------------------------------------
 
-void ObserveValue(const Value& value, Annotation* node) {
+namespace {
+
+// Folds `value` into `node`; for a scalar, returns true with its encoding
+// left in `*encoded`.
+bool ObserveInto(const Value& value, Annotation* node, std::string* encoded) {
   switch (value.kind()) {
     case ValueKind::kNull:
-      node->ObserveNull();
-      return;
+      node->ObserveNull(encoded);
+      return true;
     case ValueKind::kBool:
-      node->ObserveBool(value.bool_value());
-      return;
+      node->ObserveBool(value.bool_value(), encoded);
+      return true;
     case ValueKind::kNum:
-      node->ObserveNum(value.num_value());
-      return;
+      node->ObserveNum(value.num_value(), encoded);
+      return true;
     case ValueKind::kStr:
-      node->ObserveStr(value.str_value());
-      return;
+      node->ObserveStr(value.str_value(), encoded);
+      return true;
     case ValueKind::kRecord: {
       node->ObserveRecordOpen();
+      const std::vector<json::Field>& fields = value.fields();
       std::string signature;
-      std::vector<std::pair<std::string, std::string>> scalars;
-      for (const json::Field& f : value.fields()) {
-        signature.append(f.key);
+      // Sized up front: the ScalarField views point into these strings.
+      std::vector<std::string> encodings(fields.size());
+      std::vector<ScalarField> scalars;
+      for (size_t i = 0; i < fields.size(); ++i) {
+        signature.append(fields[i].key);
         signature.push_back('\x1f');
-        ObserveValue(*f.value, node->ObserveFieldEntry(f.key));
-        switch (f.value->kind()) {
-          case ValueKind::kNull:
-            scalars.emplace_back(f.key, EncodeNull());
-            break;
-          case ValueKind::kBool:
-            scalars.emplace_back(f.key, EncodeBool(f.value->bool_value()));
-            break;
-          case ValueKind::kNum:
-            scalars.emplace_back(f.key, EncodeNum(f.value->num_value()));
-            break;
-          case ValueKind::kStr:
-            scalars.emplace_back(f.key, EncodeStr(f.value->str_value()));
-            break;
-          default:
-            break;
+        if (ObserveInto(*fields[i].value,
+                        node->ObserveFieldEntry(fields[i].key),
+                        &encodings[i])) {
+          scalars.push_back(ScalarField{fields[i].key, encodings[i]});
         }
       }
       node->ObserveShape(signature, scalars);
-      return;
+      return false;
     }
     case ValueKind::kArray: {
       node->ObserveArray(value.elements().size());
-      if (value.elements().empty()) return;
+      if (value.elements().empty()) return false;
       Annotation* child = node->ItemsEntry();
-      for (const ValueRef& e : value.elements()) ObserveValue(*e, child);
-      return;
+      for (const ValueRef& e : value.elements()) {
+        ObserveInto(*e, child, encoded);
+      }
+      return false;
     }
   }
+  return false;
+}
+
+}  // namespace
+
+void ObserveValue(const Value& value, Annotation* node) {
+  std::string encoded;
+  ObserveInto(value, node, &encoded);
 }
 
 // -- Rendering --------------------------------------------------------------

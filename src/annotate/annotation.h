@@ -51,6 +51,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -149,16 +150,23 @@ struct DistinctSketch {
   bool Equals(const DistinctSketch& other) const;
 };
 
+/// One scalar field of a record instance: its key and encoded value, the
+/// shape evidence for discriminator detection. Views into caller storage.
+struct ScalarField {
+  std::string_view key;
+  std::string_view encoded;
+};
+
 /// Per-shape statistics: how many records had exactly this key set, and a
 /// bounded map of scalar-field samples used for discriminator detection.
 struct ShapeInfo {
   uint64_t count = 0;
   /// key -> distinct sample of the scalar values that key held in records
   /// of this shape. Bounded to the kShapeFieldCap smallest keys.
-  std::map<std::string, DistinctSample> field_values;
+  std::map<std::string, DistinctSample, std::less<>> field_values;
   bool fields_truncated = false;
 
-  void ObserveField(const std::string& key, std::string_view encoded);
+  void ObserveField(std::string_view key, std::string_view encoded);
   void MergeFrom(const ShapeInfo& other);
   bool Equals(const ShapeInfo& other) const;
 };
@@ -181,12 +189,18 @@ class Annotation {
   Annotation& operator=(Annotation&&) = default;
 
   // -- Per-record observation (one value at this position) --
-  void ObserveNull();
-  void ObserveBool(bool b);
-  void ObserveNum(double n);
+  //
+  // Observing a value is merging its singleton annotation, so a collector
+  // folds records straight into a shared accumulator. Each scalar observer
+  // leaves the value's encoding (Encode*) in the caller's `*encoded`
+  // buffer, which the enclosing record passes on to ObserveShape: one
+  // encoding per value.
+  void ObserveNull(std::string* encoded);
+  void ObserveBool(bool b, std::string* encoded);
+  void ObserveNum(double n, std::string* encoded);
   /// `unescaped` is the decoded string payload; its length feeds the
   /// string-length bounds.
-  void ObserveStr(std::string_view unescaped);
+  void ObserveStr(std::string_view unescaped, std::string* encoded);
   void ObserveRecordOpen();
   void ObserveArray(uint64_t length);
   /// Returns the accumulator for field `key`, creating it on first use and
@@ -194,11 +208,10 @@ class Annotation {
   Annotation* ObserveFieldEntry(std::string_view key);
   /// Returns the shared accumulator for array elements at this position.
   Annotation* ItemsEntry();
-  /// Registers one record instance's key-set signature (its sorted keys
-  /// joined by '\x1f') and its scalar fields' encoded values.
-  void ObserveShape(
-      const std::string& signature,
-      const std::vector<std::pair<std::string, std::string>>& scalar_fields);
+  /// Registers one record instance's key-set signature (its sorted keys,
+  /// each followed by '\x1f') and its scalar fields' encoded values.
+  void ObserveShape(std::string_view signature,
+                    std::span<const ScalarField> scalar_fields);
 
   // -- Monoid operations --
   void MergeFrom(const Annotation& other);
@@ -229,7 +242,7 @@ class Annotation {
   std::unique_ptr<Annotation> items;
   /// Key-set signature -> per-shape statistics, bounded to the kShapeCap
   /// smallest signatures.
-  std::map<std::string, ShapeInfo> shapes;
+  std::map<std::string, ShapeInfo, std::less<>> shapes;
   bool shapes_truncated = false;
 
  private:

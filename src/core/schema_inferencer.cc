@@ -79,8 +79,7 @@ Status InferSerial(const std::vector<json::ValueRef>& values,
   {
     JSONSI_SPAN("infer.map");
     for (const json::ValueRef& v : values) {
-      typed.push_back(ann ? inference::InferType(*v, ann.get())
-                          : inference::InferType(*v));
+      typed.push_back(inference::InferType(*v, ann.get()));
     }
   }
   if (ann) schema->annotation = std::move(ann);
@@ -175,9 +174,7 @@ Status InferParallel(const std::vector<json::ValueRef>& values,
         typed.reserve(len);
         for (size_t i = begin; i < begin + len; ++i) {
           typed.push_back(
-              do_annotate
-                  ? inference::InferType(*values[i], pp.annotation.get())
-                  : inference::InferType(*values[i]));
+              inference::InferType(*values[i], pp.annotation.get()));
         }
         pp.infer_seconds = infer_watch.ElapsedSeconds();
         if (collect) {
@@ -513,19 +510,10 @@ Result<Schema> SchemaInferencer::InferDirectFromJsonLines(
     {
       JSONSI_SPAN("infer.direct");
       json::LineFn fn = [&](std::string_view line) -> Result<bool> {
-        if (annotation) {
-          // Per-record tree, folded only on success, so a malformed line's
-          // partial observations never reach the accumulator.
-          annotate::Annotation rec;
-          Result<TypeRef> t =
-              inference::DirectInferType(line, options_.ingest.parse, &rec);
-          if (!t.ok()) return t.status();
-          annotation->MergeFrom(rec);
-          typed.push_back(std::move(t).value());
-          return true;
-        }
-        Result<TypeRef> t =
-            inference::DirectInferType(line, options_.ingest.parse);
+        // Folds straight into the accumulator: DirectInferType observes a
+        // line only after accepting it, so malformed lines leave no trace.
+        Result<TypeRef> t = inference::DirectInferType(
+            line, options_.ingest.parse, annotation.get());
         if (!t.ok()) return t.status();
         typed.push_back(std::move(t).value());
         return true;

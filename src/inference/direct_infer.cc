@@ -25,149 +25,85 @@ using types::TypeRef;
 namespace {
 
 // Iterative grammar driver: the parser's recursive descent flattened onto
-// an explicit frame stack, producing type nodes where the parser produces
-// Values. Every error check runs in the same order and at the same cursor
-// position as the recursive parser, so statuses match byte for byte
-// (differential-tested). Tokens are pulled only at value positions — at
-// key and separator positions the parser reports grammar errors before
-// lexing anything, so this driver peeks instead.
+// an explicit frame stack. Every error check runs in the same order and at
+// the same cursor position as the recursive parser, so statuses match byte
+// for byte (differential-tested). Tokens are pulled only at value
+// positions — at key and separator positions the parser reports grammar
+// errors before lexing anything, so this driver peeks instead.
+//
+// What a document *produces* is the Sink's business: TypeBuilder assembles
+// the Figure 4 type, AnnotationObserver folds statistics into an
+// accumulator. The driver reports the structure to the sink as it goes —
+// a scalar, an empty or opened container, a key, the end of a field or
+// element, a closing container.
+template <class Sink>
 class DirectInferrer {
  public:
   DirectInferrer(std::string_view text, const json::ParseOptions& options,
-                 annotate::Annotation* ann)
-      : tok_(text),
-        options_(options),
-        intern_(types::InterningEnabled()),
-        ann_(ann) {
-    if (ann_ != nullptr) ann_targets_.push_back(ann_);
-  }
+                 Sink* sink)
+      : tok_(text), options_(options), sink_(sink) {}
 
-  Result<TypeRef> Infer() {
-    TypeRef root;
-    JSONSI_RETURN_IF_ERROR(Run(&root));
+  // One whole document: the value plus the trailing-content check.
+  Status Infer() {
+    JSONSI_RETURN_IF_ERROR(Run());
     if (!options_.allow_trailing_content) {
       tok_.SkipWhitespace();
       if (!tok_.AtEnd()) {
         return tok_.ErrorHere("trailing content after JSON value");
       }
     }
-    return root;
+    return Status::OK();
   }
 
- private:
-  // One record or array under construction. `start` indexes the shared
-  // accumulator (fields_ for records, elems_ for arrays): children pushed
-  // past it belong to this frame and are consumed when it closes. When
-  // annotating, `ann` is the container's own accumulator and
-  // `scalar_start` its slice of scalar_fields_ (shape evidence).
-  struct Frame {
-    bool is_record;
-    size_t start;
-    annotate::Annotation* ann = nullptr;
-    size_t scalar_start = 0;
-  };
-
-  // The accumulator the next value at the cursor observes into: the root,
-  // the current field's node, or the enclosing array's items node.
-  annotate::Annotation* AnnTarget() { return ann_targets_.back(); }
-
-  Status Run(TypeRef* out) {
+  // Drives the first value of the text through the sink.
+  Status Run() {
     for (;;) {
       // --- Value position: the only place a token is pulled. ---
       Token t;
-      TypeRef closed;
-      if (ann_ == nullptr) {
-        JSONSI_RETURN_IF_ERROR(tok_.Next(&t));
-      } else {
-        // Annotation needs unescaped string payloads (lengths, samples);
-        // the extra buffer changes no validation or error position.
+      if constexpr (Sink::kUnescapeValues) {
+        // The extra buffer changes no validation or error position.
         val_buf_.clear();
         JSONSI_RETURN_IF_ERROR(tok_.Next(&t, &val_buf_));
+      } else {
+        JSONSI_RETURN_IF_ERROR(tok_.Next(&t));
       }
       switch (t.kind) {
         case TokenKind::kNull:
-          closed = Type::Null();
-          if (ann_ != nullptr) {
-            AnnTarget()->ObserveNull();
-            pending_scalar_ = annotate::EncodeNull();
-            has_pending_scalar_ = true;
-          }
-          break;
         case TokenKind::kTrue:
-        case TokenKind::kFalse: {
-          closed = Type::Bool();
-          if (ann_ != nullptr) {
-            const bool b = t.kind == TokenKind::kTrue;
-            AnnTarget()->ObserveBool(b);
-            pending_scalar_ = annotate::EncodeBool(b);
-            has_pending_scalar_ = true;
-          }
-          break;
-        }
+        case TokenKind::kFalse:
         case TokenKind::kNumber:
-          closed = Type::Num();
-          if (ann_ != nullptr) {
-            // Re-parse the validated lexeme with the same std::from_chars
-            // the DOM parser's ScanNumber uses — bit-identical doubles.
-            double d = 0;
-            std::from_chars(t.text.data(), t.text.data() + t.text.size(), d);
-            AnnTarget()->ObserveNum(d);
-            pending_scalar_ = annotate::EncodeNum(d);
-            has_pending_scalar_ = true;
-          }
-          break;
         case TokenKind::kString:
-          closed = Type::Str();
-          if (ann_ != nullptr) {
-            AnnTarget()->ObserveStr(val_buf_);
-            pending_scalar_ = annotate::EncodeStr(val_buf_);
-            has_pending_scalar_ = true;
-          }
+          sink_->Scalar(t, val_buf_);
           break;
         case TokenKind::kEnd:
           return Tokenizer::ErrorAt(t, "unexpected end of input");
         case TokenKind::kLBrace: {
-          if (frames_.size() >= options_.max_depth) {
+          if (record_frames_.size() >= options_.max_depth) {
             return Tokenizer::ErrorAt(t, "nesting too deep");
           }
           tok_.SkipWhitespace();
           if (!tok_.AtEnd() && tok_.Peek() == '}') {
             tok_.Advance();
-            if (ann_ != nullptr) {
-              annotate::Annotation* a = AnnTarget();
-              a->ObserveRecordOpen();
-              a->ObserveShape(std::string(), {});
-            }
-            closed = MakeRecord({});
+            sink_->EmptyRecord();
             break;
           }
-          frames_.push_back(Frame{/*is_record=*/true, fields_.size()});
-          if (ann_ != nullptr) {
-            Frame& f = frames_.back();
-            f.ann = AnnTarget();
-            f.scalar_start = scalar_fields_.size();
-            f.ann->ObserveRecordOpen();
-          }
+          record_frames_.push_back(true);
+          sink_->OpenRecord();
           JSONSI_RETURN_IF_ERROR(ReadKey());
           continue;  // next value = first field value
         }
         case TokenKind::kLBracket: {
-          if (frames_.size() >= options_.max_depth) {
+          if (record_frames_.size() >= options_.max_depth) {
             return Tokenizer::ErrorAt(t, "nesting too deep");
           }
           tok_.SkipWhitespace();
           if (!tok_.AtEnd() && tok_.Peek() == ']') {
             tok_.Advance();
-            if (ann_ != nullptr) AnnTarget()->ObserveArray(0);
-            closed = MakeArray({});
+            sink_->EmptyArray();
             break;
           }
-          frames_.push_back(Frame{/*is_record=*/false, elems_.size()});
-          if (ann_ != nullptr) {
-            Frame& f = frames_.back();
-            f.ann = AnnTarget();
-            ann_targets_.push_back(f.ann->ItemsEntry());
-          }
+          record_frames_.push_back(false);
+          sink_->OpenArray();
           continue;  // next value = first element
         }
         default:
@@ -178,23 +114,9 @@ class DirectInferrer {
 
       // --- A value closed: unwind frames until one needs another value. ---
       for (;;) {
-        if (frames_.empty()) {
-          *out = std::move(closed);
-          return Status::OK();
-        }
-        Frame& frame = frames_.back();
-        if (frame.is_record) {
-          // fields_.back() is this frame's pending field (nested frames
-          // consume their fields before we unwind back here).
-          fields_.back().type = std::move(closed);
-          if (ann_ != nullptr) {
-            ann_targets_.pop_back();  // leave the field position
-            if (has_pending_scalar_) {
-              scalar_fields_.emplace_back(fields_.back().key,
-                                          std::move(pending_scalar_));
-              has_pending_scalar_ = false;
-            }
-          }
+        if (record_frames_.empty()) return Status::OK();
+        if (record_frames_.back()) {
+          sink_->EndField();
           tok_.SkipWhitespace();
           if (tok_.AtEnd()) return tok_.ErrorHere("unterminated record");
           char c = tok_.Peek();
@@ -205,15 +127,13 @@ class DirectInferrer {
           }
           if (c == '}') {
             tok_.Advance();
-            JSONSI_RETURN_IF_ERROR(CloseRecord(&closed));
+            record_frames_.pop_back();
+            JSONSI_RETURN_IF_ERROR(sink_->CloseRecord(tok_));
             continue;  // keep unwinding
           }
           return tok_.ErrorHere("expected ',' or '}' in record");
         }
-        elems_.push_back(std::move(closed));
-        // Array elements contribute no shape evidence; drop any scalar
-        // encoding the element left behind.
-        has_pending_scalar_ = false;
+        sink_->EndElement();
         tok_.SkipWhitespace();
         if (tok_.AtEnd()) return tok_.ErrorHere("unterminated array");
         char c = tok_.Peek();
@@ -223,7 +143,8 @@ class DirectInferrer {
         }
         if (c == ']') {
           tok_.Advance();
-          CloseArray(&closed);
+          record_frames_.pop_back();
+          sink_->CloseArray();
           continue;  // keep unwinding
         }
         return tok_.ErrorHere("expected ',' or ']' in array");
@@ -231,7 +152,8 @@ class DirectInferrer {
     }
   }
 
-  // Key, colon, and the pending-field push. Mirrors the top of the
+ private:
+  // Key and colon, then the sink's field entry. Mirrors the top of the
   // parser's record loop, including the order of its error checks.
   Status ReadKey() {
     tok_.SkipWhitespace();
@@ -246,22 +168,62 @@ class DirectInferrer {
       return tok_.ErrorHere("expected ':' after key");
     }
     tok_.Advance();
-    fields_.push_back(FieldType{key_buf_, nullptr, /*optional=*/false});
-    if (ann_ != nullptr) {
-      // Enter the field position: the next value observes into this node.
-      ann_targets_.push_back(frames_.back().ann->ObserveFieldEntry(key_buf_));
-    }
+    sink_->Key(key_buf_);
     return Status::OK();
   }
+
+  Tokenizer tok_;
+  const json::ParseOptions& options_;
+  Sink* sink_;
+  std::vector<bool> record_frames_;  // one per open container: record?
+  std::string key_buf_;              // reused unescape buffer for keys
+  std::string val_buf_;              // reused unescape buffer for values
+};
+
+// Builds the Figure 4 type bottom-up: record and array nodes are assembled
+// as they close (and hash-consed right there when interning is enabled),
+// string and number payloads are never copied.
+class TypeBuilder {
+ public:
+  static constexpr bool kUnescapeValues = false;
+
+  TypeBuilder() : intern_(types::InterningEnabled()) {}
+
+  void Scalar(const Token& t, std::string_view /*unescaped*/) {
+    switch (t.kind) {
+      case TokenKind::kNull:
+        closed_ = Type::Null();
+        return;
+      case TokenKind::kNumber:
+        closed_ = Type::Num();
+        return;
+      case TokenKind::kString:
+        closed_ = Type::Str();
+        return;
+      default:
+        closed_ = Type::Bool();
+        return;
+    }
+  }
+  void EmptyRecord() { closed_ = MakeRecord({}); }
+  void EmptyArray() { closed_ = MakeArray({}); }
+  void OpenRecord() { starts_.push_back(fields_.size()); }
+  void OpenArray() { starts_.push_back(elems_.size()); }
+  void Key(const std::string& key) {
+    fields_.push_back(FieldType{key, nullptr, /*optional=*/false});
+  }
+  // fields_.back() is the innermost record's pending field (nested records
+  // consume their fields before the driver unwinds back to it).
+  void EndField() { fields_.back().type = std::move(closed_); }
+  void EndElement() { elems_.push_back(std::move(closed_)); }
 
   // Pops the top record frame into a record type node. Keys are compared
   // unescaped (so "A" and "A" collide, as on the DOM path), and the
   // duplicate-key message + position match Value::Record's rejection as
   // re-wrapped by the parser: reported just past the closing '}'.
-  Status CloseRecord(TypeRef* closed) {
-    const Frame frame = frames_.back();
-    const size_t start = frame.start;
-    frames_.pop_back();
+  Status CloseRecord(const Tokenizer& tok) {
+    const size_t start = starts_.back();
+    starts_.pop_back();
     auto first = fields_.begin() + static_cast<ptrdiff_t>(start);
     std::sort(first, fields_.end(),
               [](const FieldType& a, const FieldType& b) {
@@ -269,47 +231,31 @@ class DirectInferrer {
               });
     for (size_t i = start; i + 1 < fields_.size(); ++i) {
       if (fields_[i].key == fields_[i + 1].key) {
-        return tok_.ErrorHere("duplicate record key: \"" + fields_[i].key +
-                              "\"");
+        return tok.ErrorHere("duplicate record key: \"" + fields_[i].key +
+                             "\"");
       }
-    }
-    if (ann_ != nullptr) {
-      // Same signature scheme as the DOM path: each sorted key followed by
-      // a separator (so {} and {"":x} stay distinct).
-      std::string signature;
-      for (size_t i = start; i < fields_.size(); ++i) {
-        signature += fields_[i].key;
-        signature += '\x1f';
-      }
-      std::vector<std::pair<std::string, std::string>> scalars(
-          std::make_move_iterator(scalar_fields_.begin() +
-                                  static_cast<ptrdiff_t>(frame.scalar_start)),
-          std::make_move_iterator(scalar_fields_.end()));
-      scalar_fields_.resize(frame.scalar_start);
-      frame.ann->ObserveShape(signature, scalars);
     }
     std::vector<FieldType> fields(std::make_move_iterator(first),
                                   std::make_move_iterator(fields_.end()));
     fields_.resize(start);
-    *closed = MakeRecord(std::move(fields));
+    closed_ = MakeRecord(std::move(fields));
     return Status::OK();
   }
 
-  void CloseArray(TypeRef* closed) {
-    const Frame frame = frames_.back();
-    const size_t start = frame.start;
-    frames_.pop_back();
-    if (ann_ != nullptr) {
-      ann_targets_.pop_back();  // leave the items position
-      frame.ann->ObserveArray(elems_.size() - start);
-    }
+  void CloseArray() {
+    const size_t start = starts_.back();
+    starts_.pop_back();
     auto first = elems_.begin() + static_cast<ptrdiff_t>(start);
     std::vector<TypeRef> elements(std::make_move_iterator(first),
                                   std::make_move_iterator(elems_.end()));
     elems_.resize(start);
-    *closed = MakeArray(std::move(elements));
+    closed_ = MakeArray(std::move(elements));
   }
 
+  // The document's type, once the driver has returned OK.
+  TypeRef Take() { return std::move(closed_); }
+
+ private:
   // Same interning policy as InferNode: record/array nodes are hash-consed
   // bottom-up when interning is enabled; leaves are already singletons.
   TypeRef MakeRecord(std::vector<FieldType> fields) {
@@ -322,32 +268,163 @@ class DirectInferrer {
     return intern_ ? types::TypeInterner::Global().Intern(std::move(t)) : t;
   }
 
-  Tokenizer tok_;
-  json::ParseOptions options_;
   const bool intern_;
-  std::vector<Frame> frames_;
+  TypeRef closed_;                 // the value that just closed
+  std::vector<size_t> starts_;     // per open container: accumulator index
   std::vector<FieldType> fields_;  // shared field accumulator
   std::vector<TypeRef> elems_;     // shared element accumulator
-  std::string key_buf_;            // reused unescape buffer for keys
+};
 
-  // Annotation state — all idle (and ann_targets_ untouched) when ann_ is
-  // null, so the default path pays nothing but a branch per token.
-  annotate::Annotation* ann_;
-  std::vector<annotate::Annotation*> ann_targets_;
-  // Shared (key, encoded scalar) accumulator, sliced by Frame::scalar_start
-  // exactly like fields_ — the shape evidence for discriminator detection.
-  std::vector<std::pair<std::string, std::string>> scalar_fields_;
-  std::string val_buf_;         // reused unescape buffer for string values
-  std::string pending_scalar_;  // encoding of the value that just closed
-  bool has_pending_scalar_ = false;
+// Folds one document's statistics straight into an accumulator, the
+// tokenizer-driven twin of annotate::ObserveValue. Builds no type nodes.
+// Runs only over text the TypeBuilder pass accepted, so nothing it
+// observes ever needs undoing (and duplicate keys cannot occur).
+class AnnotationObserver {
+ public:
+  // String statistics use the unescaped payload.
+  static constexpr bool kUnescapeValues = true;
+
+  explicit AnnotationObserver(annotate::Annotation* root) {
+    targets_.push_back(root);
+  }
+
+  void Scalar(const Token& t, std::string_view unescaped) {
+    annotate::Annotation* a = targets_.back();
+    switch (t.kind) {
+      case TokenKind::kNull:
+        a->ObserveNull(&scalar_);
+        break;
+      case TokenKind::kNumber: {
+        // Re-parse the validated lexeme with the same std::from_chars the
+        // DOM parser's ScanNumber uses — bit-identical doubles.
+        double d = 0;
+        std::from_chars(t.text.data(), t.text.data() + t.text.size(), d);
+        a->ObserveNum(d, &scalar_);
+        break;
+      }
+      case TokenKind::kString:
+        a->ObserveStr(unescaped, &scalar_);
+        break;
+      default:
+        a->ObserveBool(t.kind == TokenKind::kTrue, &scalar_);
+        break;
+    }
+    has_scalar_ = true;
+  }
+  void EmptyRecord() {
+    annotate::Annotation* a = targets_.back();
+    a->ObserveRecordOpen();
+    a->ObserveShape({}, {});
+  }
+  void EmptyArray() { targets_.back()->ObserveArray(0); }
+  void OpenRecord() {
+    annotate::Annotation* a = targets_.back();
+    a->ObserveRecordOpen();
+    frames_.push_back(Frame{a, fields_.size(), 0});
+  }
+  void OpenArray() {
+    annotate::Annotation* a = targets_.back();
+    frames_.push_back(Frame{a, 0, 0});
+    targets_.push_back(a->ItemsEntry());  // enter the items position
+  }
+  void Key(const std::string& key) {
+    fields_.push_back(Field{Slice{bytes_.size(), key.size()}, Slice{0, 0}});
+    bytes_ += key;
+    // Enter the field position: the next value observes into this node.
+    targets_.push_back(frames_.back().ann->ObserveFieldEntry(key));
+  }
+  // fields_.back() is the innermost record's pending field, as in
+  // TypeBuilder::EndField.
+  void EndField() {
+    targets_.pop_back();  // leave the field position
+    if (has_scalar_) {
+      fields_.back().encoded = Slice{bytes_.size(), scalar_.size()};
+      bytes_ += scalar_;
+      has_scalar_ = false;
+    }
+  }
+  // Array elements contribute no shape evidence.
+  void EndElement() {
+    ++frames_.back().length;
+    has_scalar_ = false;
+  }
+
+  // Registers the record's shape: the same signature scheme as the DOM
+  // path — each sorted key followed by a separator (so {} and {"":x} stay
+  // distinct) — and its scalar fields.
+  Status CloseRecord(const Tokenizer& /*tok*/) {
+    const size_t start = frames_.back().start;
+    annotate::Annotation* ann = frames_.back().ann;
+    frames_.pop_back();
+    sorted_keys_.clear();
+    shape_fields_.clear();
+    for (size_t i = start; i < fields_.size(); ++i) {
+      const std::string_view key = View(fields_[i].key);
+      sorted_keys_.push_back(key);
+      if (fields_[i].encoded.size > 0) {
+        shape_fields_.push_back({key, View(fields_[i].encoded)});
+      }
+    }
+    std::sort(sorted_keys_.begin(), sorted_keys_.end());
+    signature_.clear();
+    for (std::string_view key : sorted_keys_) {
+      signature_ += key;
+      signature_ += '\x1f';
+    }
+    ann->ObserveShape(signature_, shape_fields_);
+    bytes_.resize(fields_[start].key.begin);
+    fields_.resize(start);
+    return Status::OK();
+  }
+
+  void CloseArray() {
+    const Frame frame = frames_.back();
+    frames_.pop_back();
+    targets_.pop_back();  // leave the items position
+    frame.ann->ObserveArray(frame.length);
+  }
+
+ private:
+  // A byte range of bytes_ (offsets survive its growth).
+  struct Slice {
+    size_t begin;
+    size_t size;
+  };
+  // One field of an open record: its key and, for a scalar value, the
+  // value's encoding (encodings are never empty).
+  struct Field {
+    Slice key;
+    Slice encoded;
+  };
+  // One open container: its accumulator, where a record's fields begin in
+  // fields_, and an array's length so far.
+  struct Frame {
+    annotate::Annotation* ann;
+    size_t start;
+    uint64_t length;
+  };
+
+  std::string_view View(Slice s) const {
+    return std::string_view(bytes_).substr(s.begin, s.size);
+  }
+
+  // The accumulator the next value observes into: the root, the current
+  // field's node, or the enclosing array's items node.
+  std::vector<annotate::Annotation*> targets_;
+  std::vector<Frame> frames_;
+  // Fields of the open records, stacked like TypeBuilder::fields_; their
+  // keys and encodings live in bytes_, truncated as records close.
+  std::vector<Field> fields_;
+  std::string bytes_;
+  std::string scalar_;  // encoding of the scalar that just closed
+  bool has_scalar_ = false;
+  // CloseRecord scratch, reused across records.
+  std::vector<std::string_view> sorted_keys_;
+  std::string signature_;
+  std::vector<annotate::ScalarField> shape_fields_;
 };
 
 }  // namespace
-
-Result<TypeRef> DirectInferType(std::string_view text,
-                                const json::ParseOptions& options) {
-  return DirectInferType(text, options, /*ann=*/nullptr);
-}
 
 Result<TypeRef> DirectInferType(std::string_view text,
                                 const json::ParseOptions& options,
@@ -356,8 +433,16 @@ Result<TypeRef> DirectInferType(std::string_view text,
       text.size() > options.max_document_bytes) {
     return json::DocumentTooLarge(text.size(), options.max_document_bytes);
   }
-  DirectInferrer inferrer(text, options, ann);
-  Result<TypeRef> result = inferrer.Infer();
+  TypeBuilder builder;
+  Status st = DirectInferrer<TypeBuilder>(text, options, &builder).Infer();
+  Result<TypeRef> result =
+      st.ok() ? Result<TypeRef>(builder.Take()) : Result<TypeRef>(st);
+  if (st.ok() && ann != nullptr) {
+    // Validate, then observe: the document was accepted above, so the
+    // observation pass cannot fail and `ann` never sees a partial record.
+    AnnotationObserver observer(ann);
+    (void)DirectInferrer<AnnotationObserver>(text, options, &observer).Run();
+  }
   if (telemetry::Enabled()) {
     JSONSI_COUNTER("infer.direct.bytes").Add(text.size());
     json::simd::AddKernelBytes(text.size());
@@ -401,13 +486,9 @@ TypedChunkOutcome InferJsonLinesChunk(std::string_view chunk,
       ++out.stats.blank_lines;
       continue;
     }
-    // When annotating, observe into a per-record tree and fold it into the
-    // chunk accumulator only on success: a mid-record parse failure must
-    // not leak partial observations into the merge.
-    annotate::Annotation rec;
-    Result<TypeRef> type = annotate ? DirectInferType(line, parse, &rec)
-                                    : DirectInferType(line, parse);
-    if (annotate && type.ok()) out.annotation->MergeFrom(rec);
+    // A malformed line leaves the accumulator untouched (validate, then
+    // observe), so it folds every record straight in.
+    Result<TypeRef> type = DirectInferType(line, parse, out.annotation.get());
     if (type.ok()) {
       ++out.stats.records;
       out.types.push_back(std::move(type).value());
@@ -441,11 +522,7 @@ void AnnotateChunkPrefix(std::string_view chunk,
     ++lines_read;
     line = json::internal::UndecorateLine(line, first_chunk && lines_read == 1);
     if (json::internal::IsBlankLine(line)) continue;
-    annotate::Annotation rec;
-    if (DirectInferType(line, parse, &rec).ok()) {
-      acc->MergeFrom(rec);
-      ++kept;
-    }
+    if (DirectInferType(line, parse, acc).ok()) ++kept;
   }
 }
 

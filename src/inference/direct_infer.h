@@ -39,20 +39,19 @@ namespace jsonsi::inference {
 /// Equivalent to InferType(*Parse(text, options)) — same type (TypeEquals,
 /// and pointer-identical under interning), same Status on malformed input —
 /// in one pass and O(depth) auxiliary space.
+///
+/// With `ann` non-null, also folds the document's statistics into `ann`
+/// (annotate/annotation.h) straight from the token stream — no DOM and no
+/// per-record annotation tree. Validate, then observe: the typing pass
+/// decides accept or reject, and only an accepted document is re-scanned by
+/// a type-free pass that observes into `ann` (observing is merging the
+/// document's singleton annotation, so this equals MergeFrom of the DOM
+/// path's ObserveValue(*Parse(text)) exactly — differential-tested and
+/// fuzzed). `ann` is modified only when the result is OK, so callers pass
+/// their accumulator directly.
 Result<types::TypeRef> DirectInferType(std::string_view text,
-                                       const json::ParseOptions& options = {});
-
-/// As above, additionally folding the document's statistics into `ann`
-/// (annotate/annotation.h) straight from the token stream — no DOM is
-/// materialized for annotation either. The annotation equals the DOM path's
-/// ObserveValue(*Parse(text)) exactly (differential-tested and fuzzed): the
-/// same std::from_chars scan produces the numbers, string statistics use
-/// the unescaped payload, and shape signatures come from the same sorted
-/// keys. On a malformed document `ann` holds a partial observation the
-/// caller must discard. `ann == nullptr` is the plain overload.
-Result<types::TypeRef> DirectInferType(std::string_view text,
-                                       const json::ParseOptions& options,
-                                       annotate::Annotation* ann);
+                                       const json::ParseOptions& options = {},
+                                       annotate::Annotation* ann = nullptr);
 
 /// Everything one DOM-free chunk worker contributes to a merged parallel
 /// read: inferred types instead of parsed values, plus the shared
@@ -61,8 +60,8 @@ struct TypedChunkOutcome : json::ChunkIngest {
   /// Types inferred from the chunk's well-formed lines, in line order.
   std::vector<types::TypeRef> types;
   /// Eagerly folded annotation of the chunk's well-formed lines (non-null
-  /// only when the worker ran with annotate=true). Per-record trees merge
-  /// into this accumulator as lines complete, so memory stays O(chunks);
+  /// only when the worker ran with annotate=true). Each accepted line is
+  /// observed straight into this accumulator, so memory stays O(chunks);
   /// the replay's abort exclusions are repaired by AnnotateChunkPrefix.
   std::unique_ptr<annotate::Annotation> annotation;
 };

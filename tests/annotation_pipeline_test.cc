@@ -6,11 +6,13 @@
 // annotation tree and the same refined tagged unions — the annotation is a
 // commutative-monoid fold, so Theorems 5.4/5.5 extend to it verbatim.
 // Checked over all four synthetic dataset generators, through degraded-mode
-// aborts (malformed lines must not pollute the accumulators), and through
-// Schema::Merge.
+// aborts (malformed lines must not pollute the accumulators, even lines
+// that fail only after values were seen), and through Schema::Merge.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,8 +21,12 @@
 #include "annotate/refine.h"
 #include "core/schema_inferencer.h"
 #include "datagen/generator.h"
+#include "io/input_source.h"
 #include "json/jsonl.h"
+#include "json/parser.h"
 #include "json/serializer.h"
+#include "json/simd/kernel.h"
+#include "telemetry/telemetry.h"
 
 namespace jsonsi {
 namespace {
@@ -150,6 +156,140 @@ TEST(AnnotationPipelineTest, MalformedLinesDoNotPolluteAccumulators) {
                                     (direct ? "1" : "0") +
                                     " threads=" + std::to_string(threads));
     }
+  }
+}
+
+// Malformed lines that fail only after a collector could have observed
+// values, interleaved with well-formed lines sharing their keys (so a
+// leaked observation changes counts, ranges and samples).
+struct LateFailureCorpus {
+  std::string text;
+  // The well-formed lines, in order.
+  std::vector<std::string> good;
+  size_t bad_lines = 0;
+  // max_depth 3, which the depth case trips.
+  json::ParseOptions parse;
+};
+
+LateFailureCorpus MakeLateFailureCorpus() {
+  const std::string bad[] = {
+      // Duplicate key, detected when the nested record closes.
+      R"({"type":"bad","x":99,"n":{"p":1,"q":"leak","p":2}})",
+      // Trailing content after a complete record.
+      R"({"type":"a","x":98,"n":{"p":3,"q":"leak"}} {"type":"b"})",
+      // max_depth hit inside an array after sibling fields and elements.
+      R"({"type":"bad","x":97,"arr":[1,"leak",[2,[3,[4]]]]})",
+      // Truncated nested value.
+      R"({"type":"bad","x":96,"n":{"p":[5,"leak",)",
+  };
+  LateFailureCorpus corpus;
+  corpus.parse.max_depth = 3;
+  for (int i = 0; i < 24; ++i) {
+    std::string line = R"({"type":")" + std::string(i % 2 ? "a" : "b");
+    line += R"(","x":)" + std::to_string(i);
+    line += R"(,"n":{"p":)" + std::to_string(i * 10);
+    line += R"(,"q":"v)" + std::to_string(i % 3);
+    line += R"("},"arr":[)" + std::to_string(i) + ",[";
+    line += std::to_string(-i) + "]]}";
+    corpus.good.push_back(line);
+    corpus.text += line + "\n";
+    if (i % 3 == 2) {
+      corpus.text += bad[corpus.bad_lines++ % 4] + "\n";
+    }
+  }
+  return corpus;
+}
+
+// The DOM-path annotation of just the well-formed lines.
+Annotation DomAnnotationOf(const LateFailureCorpus& corpus) {
+  Annotation expected;
+  for (const std::string& line : corpus.good) {
+    auto v = json::Parse(line, corpus.parse);
+    EXPECT_TRUE(v.ok()) << v.status().message();
+    annotate::ObserveValue(*v.value(), &expected);
+  }
+  return expected;
+}
+
+InferenceOptions LateFailureOptions(const LateFailureCorpus& corpus) {
+  InferenceOptions opts;
+  opts.num_threads = 1;
+  opts.annotate = true;
+  opts.parallel_ingest_min_bytes = 0;
+  opts.chunks_per_thread = 3;
+  opts.ingest.on_malformed = json::MalformedLinePolicy::kSkip;
+  opts.ingest.parse = corpus.parse;
+  return opts;
+}
+
+TEST(AnnotationPipelineTest, LateFailingLinesLeaveNoObservation) {
+  const LateFailureCorpus corpus = MakeLateFailureCorpus();
+  const Annotation expected = DomAnnotationOf(corpus);
+  ASSERT_EQ(expected.count, corpus.good.size());
+  ASSERT_EQ(corpus.bad_lines, 8u);
+
+  auto check = [&](const Result<Schema>& got, const std::string& label) {
+    ASSERT_TRUE(got.ok()) << label << ": " << got.status().message();
+    ASSERT_NE(got.value().annotation, nullptr) << label;
+    EXPECT_EQ(got.value().stats.record_count, corpus.good.size()) << label;
+    EXPECT_TRUE(got.value().annotation->Equals(expected)) << label;
+  };
+
+  // Serial fused pass and chunk-parallel workers.
+  for (size_t threads : {1, 2, 4}) {
+    InferenceOptions opts = LateFailureOptions(corpus);
+    opts.num_threads = threads;
+    check(SchemaInferencer(opts).InferFromJsonLines(corpus.text),
+          "text threads=" + std::to_string(threads));
+  }
+
+  // Non-mapped file input with --annotate (buffered by InputSource::Read).
+  const std::string path =
+      ::testing::TempDir() + "jsonsi_annotation_late_failure.jsonl";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << corpus.text;
+  }
+  for (size_t threads : {1, 4}) {
+    InferenceOptions opts = LateFailureOptions(corpus);
+    opts.num_threads = threads;
+    opts.io.mode = io::IoMode::kStream;
+    opts.io.buffer_bytes = 97;
+    check(SchemaInferencer(opts).InferFromFile(path),
+          "stream threads=" + std::to_string(threads));
+  }
+  std::remove(path.c_str());
+}
+
+// Two passes per accepted line (type, then observe) must still count each
+// line once, and each folded record once.
+TEST(AnnotationPipelineTest, TelemetryCountsEachLineOnce) {
+  const LateFailureCorpus corpus = MakeLateFailureCorpus();
+  // Every line is non-blank and newline-terminated.
+  const uint64_t line_bytes =
+      corpus.text.size() - (corpus.good.size() + corpus.bad_lines);
+  const std::string kernel_counter =
+      std::string("infer.simd.bytes.") +
+      json::simd::KernelName(json::simd::ActiveKernel());
+  for (size_t threads : {1, 4}) {
+    telemetry::MetricsRegistry::Global().ResetAll();
+    telemetry::SetEnabled(true);
+    InferenceOptions opts = LateFailureOptions(corpus);
+    opts.num_threads = threads;
+    auto got = SchemaInferencer(opts).InferFromJsonLines(corpus.text);
+    auto snap = telemetry::MetricsRegistry::Global().Snapshot();
+    telemetry::SetEnabled(false);
+    telemetry::MetricsRegistry::Global().ResetAll();
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(snap.CounterValue("annotate.records"), corpus.good.size())
+        << label;
+    EXPECT_EQ(snap.CounterValue("infer.direct.records"), corpus.good.size())
+        << label;
+    EXPECT_EQ(snap.CounterValue("infer.direct.errors"), corpus.bad_lines)
+        << label;
+    EXPECT_EQ(snap.CounterValue("infer.direct.bytes"), line_bytes) << label;
+    EXPECT_EQ(snap.CounterValue(kernel_counter), line_bytes) << label;
   }
 }
 

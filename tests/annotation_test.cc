@@ -267,10 +267,11 @@ TEST(DistinctSketchTest, MergeEqualsObservingTheUnion) {
 }
 
 TEST(MinMaxTest, NegativeZeroCanonicalizes) {
+  std::string encoded;
   Annotation a;
-  a.ObserveNum(-0.0);
+  a.ObserveNum(-0.0, &encoded);
   Annotation b;
-  b.ObserveNum(0.0);
+  b.ObserveNum(0.0, &encoded);
   EXPECT_TRUE(a.Equals(b));
   EXPECT_FALSE(std::signbit(a.num_range.min));
 }

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "annotate/annotation.h"
 #include "core/schema_inferencer.h"
 #include "core/streaming_inferencer.h"
 #include "datagen/generator.h"
@@ -165,6 +166,39 @@ TEST(DirectInferTest, DatagenDifferentialWithAndWithoutInterning) {
       }
     }
   }
+}
+
+TEST(DirectInferTest, RejectedDocumentLeavesAccumulatorUntouched) {
+  // Validate, then observe: a document that fails anywhere — even after
+  // values, keys and nested records were read — must not modify `ann`.
+  ParseOptions options;
+  options.max_depth = 3;
+  annotate::Annotation ann;
+  for (std::string_view seed :
+       {R"({"a":1,"n":{"p":"x"},"arr":[1,[2]]})", R"({"a":"s","b":null})",
+        "[true,false,2.5]", "{}"}) {
+    ASSERT_TRUE(DirectInferType(seed, options, &ann).ok()) << seed;
+  }
+  const annotate::Annotation before = ann.Clone();
+  const std::string nested =
+      R"({"a":7,"n":{"p":"y","q":[1,"z",null]},"arr":[3,[4]]})";
+  // A duplicate key, trailing content, max_depth inside an array, and every
+  // truncation of a well-formed document.
+  std::vector<std::string> bad = {
+      R"({"a":2,"n":{"p":"leak","q":1,"p":2}})",
+      R"({"a":3,"n":{"p":"leak"}} {"a":4})",
+      R"({"a":5,"b":"leak","arr":[1,"x",[2,[3]]]})",
+  };
+  for (size_t n = 0; n < nested.size(); ++n) {
+    bad.push_back(nested.substr(0, n));
+  }
+  for (const std::string& text : bad) {
+    auto t = DirectInferType(text, options, &ann);
+    ASSERT_FALSE(t.ok()) << text;
+    EXPECT_TRUE(ann.Equals(before)) << "accumulator modified by: " << text;
+  }
+  ASSERT_TRUE(DirectInferType(nested, options, &ann).ok());
+  EXPECT_FALSE(ann.Equals(before));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the DOM-free direct inference
 // kernel: per-record DirectInferType vs Parse+InferType over the four
 // datagen corpora (the ISSUE's >= 1.5x records/s acceptance gate), the
-// tokenizer-only validation floor, and the end-to-end InferFromJsonLines
-// A/B (direct vs --no-direct, serial and chunk-parallel). Every benchmark
+// tokenizer-only validation floor, and the end-to-end A/B of
+// InferFromJsonLines against its DOM oracle (ParseJsonLines, then
+// InferFromValues), serial and chunk-parallel. Every benchmark
 // reports MB/s via SetBytesProcessed and records/s via SetItemsProcessed
 // so the two paths read off one table.
 //
@@ -22,6 +23,7 @@
 #include "core/schema_inferencer.h"
 #include "inference/direct_infer.h"
 #include "inference/infer.h"
+#include "json/jsonl.h"
 #include "json/parser.h"
 #include "json/serializer.h"
 #include "json/simd/kernel.h"
@@ -248,18 +250,24 @@ void RegisterKernelBenchmarks() {
   }
 }
 
-// End-to-end A/B: the whole InferFromJsonLines pipeline, direct vs DOM.
+// End-to-end A/B: the whole InferFromJsonLines pipeline vs the DOM oracle
+// pipeline (json::ParseJsonLines, then InferFromValues) on the same options.
 // range(0) = dataset, range(1) = threads (1 = serial path).
 void BM_EndToEnd(benchmark::State& state, bool direct) {
   const Corpus& corpus = GetCorpus(Dataset(state));
   core::InferenceOptions options;
-  options.direct_infer = direct;
   options.num_threads = static_cast<size_t>(state.range(1));
   options.parallel_ingest_min_bytes = 0;
   core::SchemaInferencer inferencer(options);
   for (auto _ : state) {
-    auto schema = inferencer.InferFromJsonLines(corpus.jsonl);
-    benchmark::DoNotOptimize(schema);
+    if (direct) {
+      auto schema = inferencer.InferFromJsonLines(corpus.jsonl);
+      benchmark::DoNotOptimize(schema);
+    } else {
+      auto values = json::ParseJsonLines(corpus.jsonl, options.ingest);
+      auto schema = inferencer.TryInferFromValues(values.value());
+      benchmark::DoNotOptimize(schema);
+    }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(corpus.lines.size()));

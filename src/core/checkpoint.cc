@@ -13,6 +13,7 @@
 #endif
 
 #include "io/input_source.h"
+#include "stats/type_stats.h"
 #include "support/hash.h"
 #include "telemetry/telemetry.h"
 #include "types/printer.h"
@@ -123,11 +124,6 @@ bool PopToken(std::string_view* rest, std::string_view* token) {
 Result<std::string> SerializeCheckpoint(
     const StreamingInferencer& inferencer) {
   JSONSI_SPAN("checkpoint.serialize");
-  if (inferencer.profiler_) {
-    return Status::InvalidArgument(
-        "profiling streams are not checkpointable: the profiler's "
-        "provenance state has no snapshot form");
-  }
   const StreamingOptions& o = inferencer.options_;
   std::string out;
   out.reserve(1024);
@@ -142,8 +138,6 @@ Result<std::string> SerializeCheckpoint(
     out.append(key).append(" ").append(U64ToHex(v)).append("\n");
   };
   emit_u64("count_distinct_types", o.count_distinct_types ? 1 : 0);
-  emit_u64("direct_infer", o.direct_infer ? 1 : 0);
-  emit_u64("skip_malformed", o.skip_malformed ? 1 : 0);
   emit_u64("on_malformed", static_cast<uint64_t>(o.on_malformed));
   emit_hex("max_error_rate", std::bit_cast<uint64_t>(o.max_error_rate));
   emit_u64("min_lines_for_rate", o.min_lines_for_rate);
@@ -172,11 +166,11 @@ Result<std::string> SerializeCheckpoint(
         .append("\n");
   }
 
-  emit_u64("record_count", inferencer.record_count_);
-  emit_u64("min_type_size", inferencer.min_type_size_);
-  emit_u64("max_type_size", inferencer.max_type_size_);
-  emit_hex("total_type_size",
-           std::bit_cast<uint64_t>(inferencer.total_type_size_));
+  const stats::SizeAccumulator& sizes = inferencer.sizes_;
+  emit_u64("record_count", sizes.count);
+  emit_u64("min_type_size", sizes.min);
+  emit_u64("max_type_size", sizes.max);
+  emit_hex("total_type_size", std::bit_cast<uint64_t>(sizes.total));
   emit_u64("memory_degraded", inferencer.memory_degraded_ ? 1 : 0);
   for (uint64_t h : inferencer.distinct_hashes_) {
     out.append("hash ").append(U64ToHex(h)).append("\n");
@@ -232,8 +226,9 @@ Status RestoreCheckpoint(std::string_view text,
   // --- Parse the verified body line by line. ---
   StreamingOptions opts;
   json::IngestStats stats;
-  uint64_t record_count = 0, min_size = 0, max_size = 0;
-  double total_size = 0;
+  stats::SizeAccumulator sizes;
+  // Set by the legacy "skip_malformed" key; applied after the loop.
+  bool legacy_skip_malformed = false;
   bool memory_degraded = false;
   std::vector<uint64_t> hashes;
   uint64_t fuser_count = 0;
@@ -264,11 +259,16 @@ Status RestoreCheckpoint(std::string_view text,
       ok = u64();
       opts.count_distinct_types = v != 0;
     } else if (key == "direct_infer") {
+      // Legacy key: the DOM/direct text-path switch no longer exists (text
+      // is always typed DOM-free, with identical results), so older
+      // checkpoints stay restorable by validating and ignoring it.
       ok = u64();
-      opts.direct_infer = v != 0;
     } else if (key == "skip_malformed") {
+      // Legacy key: the old boolean spelling of on_malformed = kSkip, which
+      // took effect only while the policy was the default kFail. Applied
+      // after the loop, since older files wrote it before "on_malformed".
       ok = u64();
-      opts.skip_malformed = v != 0;
+      legacy_skip_malformed = v != 0;
     } else if (key == "on_malformed") {
       ok = u64() && v <= 2;
       opts.on_malformed = static_cast<json::MalformedLinePolicy>(v);
@@ -317,16 +317,16 @@ Status RestoreCheckpoint(std::string_view text,
       if (ok) stats.errors.push_back(std::move(e));
     } else if (key == "record_count") {
       ok = u64();
-      record_count = v;
+      sizes.count = v;
     } else if (key == "min_type_size") {
       ok = u64();
-      min_size = v;
+      sizes.min = v;
     } else if (key == "max_type_size") {
       ok = u64();
-      max_size = v;
+      sizes.max = v;
     } else if (key == "total_type_size") {
       ok = hex();
-      total_size = std::bit_cast<double>(v);
+      sizes.total = std::bit_cast<double>(v);
     } else if (key == "memory_degraded") {
       ok = u64();
       memory_degraded = v != 0;
@@ -361,8 +361,9 @@ Status RestoreCheckpoint(std::string_view text,
     if (!ok) return Corrupt("bad value for '" + std::string(key) + "'");
   }
   if (!saw_end) return Corrupt("missing end marker");
-  if (opts.profile) {
-    return Corrupt("profiling checkpoints are not supported");
+  if (legacy_skip_malformed &&
+      opts.on_malformed == json::MalformedLinePolicy::kFail) {
+    opts.on_malformed = json::MalformedLinePolicy::kSkip;
   }
 
   // --- Commit: rebuild the inferencer wholesale. ---
@@ -376,10 +377,7 @@ Status RestoreCheckpoint(std::string_view text,
   stats.RewindToConsumed();
   StreamingInferencer restored(opts);
   restored.ingest_stats_ = std::move(stats);
-  restored.record_count_ = record_count;
-  restored.min_type_size_ = min_size;
-  restored.max_type_size_ = max_size;
-  restored.total_type_size_ = total_size;
+  restored.sizes_ = sizes;
   restored.memory_degraded_ = memory_degraded;
   restored.distinct_hashes_.insert(hashes.begin(), hashes.end());
   restored.fuser_.RestoreState(std::move(slots), std::move(pending),

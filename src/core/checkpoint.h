@@ -56,14 +56,14 @@ struct TornWriteInjector {
 };
 
 /// Serializes the inferencer's full stream state to the checkpoint text
-/// format (checksum line included). Fails on profiling streams — the
-/// profiler's provenance state is not checkpointable.
+/// format (checksum line included).
 Result<std::string> SerializeCheckpoint(const StreamingInferencer& inferencer);
 
 /// Parses and verifies checkpoint text and replaces `*inferencer` wholesale
 /// (options included) with the captured state. Any truncation, corruption,
 /// or version mismatch is a ParseError; `*inferencer` is untouched on
-/// failure.
+/// failure. Files from older writers stay restorable: their `direct_infer`
+/// key is ignored and `skip_malformed 1` maps to on_malformed = kSkip.
 Status RestoreCheckpoint(std::string_view text,
                          StreamingInferencer* inferencer);
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -45,200 +46,136 @@ SchemaInferencer::SchemaInferencer(const InferenceOptions& options)
 
 namespace {
 
-// Everything one parallel worker produces from its slice of the input: the
-// slice's partial schema (a thread-local TreeFuser fold), its contribution
-// to the Tables 2-5 statistics, and stage timings for the critical-path
-// accounting in SchemaStats.
+// Tables 2-5 statistics over a run of record types: the distinct-type set
+// and the size accumulator, both mergeable, so per-partition partials fold
+// into exactly the totals of one serial pass.
+struct TypeStats {
+  stats::DistinctTypeSet distinct;
+  stats::SizeAccumulator sizes;
+
+  void Add(const TypeRef& t) {
+    distinct.Add(t);
+    sizes.Add(t->size());
+  }
+  void Merge(const TypeStats& other) {
+    distinct.Merge(other.distinct);
+    sizes.Merge(other.sizes);
+  }
+  void WriteTo(SchemaStats* out) const {
+    out->distinct_type_count = distinct.size();
+    out->min_type_size = sizes.min;
+    out->max_type_size = sizes.max;
+    out->avg_type_size = sizes.avg();
+  }
+};
+
+// Everything one slice task produces: the slice's partial schema (a
+// thread-local TreeFuser fold), its statistics, its annotation when the
+// task ran the Map phase with annotate on, and stage timings for the
+// critical-path accounting in SchemaStats.
 struct PartitionPartial {
   TypeRef partial;
   std::unique_ptr<annotate::Annotation> annotation;
-  stats::DistinctTypeSet distinct;
-  size_t min_size = 0;
-  size_t max_size = 0;
-  size_t count = 0;
-  double total_size = 0;
+  TypeStats stats;
   double infer_seconds = 0;
   double fuse_seconds = 0;
 };
 
-// The exact pre-parallel pipeline: one inference loop, one TreeFuser fold in
-// stream order, no thread pool. num_threads == 1 runs this; the parallel
-// path is validated against it (structural identity, Theorems 5.4/5.5).
-Status InferSerial(const std::vector<json::ValueRef>& values,
-                   const InferenceOptions& options, Schema* schema) {
-  JSONSI_SPAN("infer.pipeline");
-  schema->stats.record_count = values.size();
-  schema->stats.dom_records = values.size();
+void RecordNanos(telemetry::Histogram& histogram, double seconds) {
+  histogram.Record(seconds > 0 ? static_cast<uint64_t>(seconds * 1e9) : 0);
+}
 
-  // ---- Map phase: per-value type inference (Figure 4). ----
-  Stopwatch infer_watch;
-  std::unique_ptr<annotate::Annotation> ann;
-  if (options.annotate) ann = std::make_unique<annotate::Annotation>();
-  std::vector<TypeRef> typed;
-  typed.reserve(values.size());
-  {
-    JSONSI_SPAN("infer.map");
-    for (const json::ValueRef& v : values) {
-      typed.push_back(inference::InferType(*v, ann.get()));
-    }
-  }
-  if (ann) schema->annotation = std::move(ann);
-  schema->stats.infer_seconds = infer_watch.ElapsedSeconds();
-  if (telemetry::Enabled()) {
-    JSONSI_COUNTER("map.records").Add(values.size());
-    JSONSI_COUNTER("map.partitions").Increment();
-  }
-
-  // ---- Statistics (Tables 2-5). ----
-  if (options.collect_stats && !values.empty()) {
+// Statistics, then the slice's Reduce (Figures 5-6) in stream order through
+// a balanced-tree TreeFuser. Reads `types` without consuming them, so a
+// retried attempt re-runs over the intact input.
+void FoldSlice(const TypeRef* types, size_t len, bool collect_stats,
+               PartitionPartial* pp) {
+  if (collect_stats) {
     JSONSI_SPAN("infer.stats");
-    stats::DistinctTypeSet distinct;
-    size_t min = 0, max = 0;
-    double total = 0;
-    for (size_t i = 0; i < typed.size(); ++i) {
-      distinct.Add(typed[i]);
-      size_t s = typed[i]->size();
-      if (i == 0) {
-        min = max = s;
-      } else {
-        min = std::min(min, s);
-        max = std::max(max, s);
-      }
-      total += static_cast<double>(s);
-    }
-    schema->stats.distinct_type_count = distinct.size();
-    schema->stats.min_type_size = min;
-    schema->stats.max_type_size = max;
-    schema->stats.avg_type_size = total / static_cast<double>(typed.size());
+    for (size_t i = 0; i < len; ++i) pp->stats.Add(types[i]);
   }
-
-  // ---- Reduce phase: associative fusion (Figures 5-6), balanced-tree
-  // order (TreeFuser) for asymptotic cheapness on wide schemas. ----
   Stopwatch fuse_watch;
   {
     JSONSI_SPAN("infer.reduce");
     fusion::TreeFuser fuser;
-    for (TypeRef& t : typed) fuser.Add(std::move(t));
-    schema->type = fuser.Finish();
+    for (size_t i = 0; i < len; ++i) fuser.Add(types[i]);
+    pp->partial = fuser.Finish();
   }
-  schema->stats.fuse_seconds = fuse_watch.ElapsedSeconds();
+  pp->fuse_seconds = fuse_watch.ElapsedSeconds();
   if (telemetry::Enabled()) {
-    JSONSI_COUNTER("reduce.partials").Increment();
-    JSONSI_HISTOGRAM("infer.fused_size")
-        .Record(schema->type ? schema->type->size() : 0);
+    RecordNanos(JSONSI_HISTOGRAM("reduce.partition_ns"), pp->fuse_seconds);
   }
-  return Status::OK();
 }
 
-// The parallel pipeline: the input is sliced into contiguous index ranges,
-// each range runs map + stats + a thread-local TreeFuser fold as ONE pool
-// task (no cross-stage barrier, no materialised global type vector), and the
-// per-worker partial schemas merge in a log-depth parallel tree-reduce.
-// Interning is process-global, so identical record types dedup across
-// workers despite the thread-local fusers.
-Status InferParallel(const std::vector<json::ValueRef>& values,
-                     const InferenceOptions& options, Schema* schema) {
+// The one Map/Reduce pipeline behind every entry point. The n records are
+// cut into contiguous slices; `slice_task(begin, len, &partial)` produces
+// one slice's partial (the value front end types its slice first, the text
+// front end already typed it), and the partials merge in a log-depth
+// parallel tree-reduce. Interning is process-global, so identical record
+// types dedup across workers despite the thread-local fusers.
+//
+// num_threads <= 1 runs the whole input as one slice inline — no pool, one
+// TreeFuser fold in stream order (so does any run left with a single slice);
+// the parallel schema is structurally identical to it (Theorems 5.4/5.5). The pipeline is a pure function of its
+// input (inference is deterministic, fusion associative/commutative), so
+// re-running it after a transient worker failure is sound — the
+// retry-safety corollary of those theorems. Each attempt gets a fresh pool.
+template <typename SliceTask>
+Status RunPipeline(size_t n, const InferenceOptions& options,
+                   const SliceTask& slice_task, Schema* schema) {
   JSONSI_SPAN("infer.pipeline");
-  const size_t n = values.size();
   schema->stats.record_count = n;
-  schema->stats.dom_records = n;
-  if (n == 0) {
-    schema->type = Type::Empty();
-    return Status::OK();
-  }
-
-  engine::ThreadPool pool(options.num_threads);
   const size_t parts =
-      std::max<size_t>(1, std::min(options.num_partitions, n));
+      options.num_threads <= 1
+          ? 1
+          : std::max<size_t>(1, std::min(options.num_partitions, n));
   std::vector<PartitionPartial> partials(parts);
-  const bool collect = options.collect_stats;
-  const bool do_annotate = options.annotate;
-
+  std::optional<engine::ThreadPool> pool;
   {
     JSONSI_SPAN("infer.map");
-    const size_t base = n / parts;
-    const size_t extra = n % parts;
-    size_t offset = 0;
-    for (size_t p = 0; p < parts; ++p) {
-      const size_t len = base + (p < extra ? 1 : 0);
-      const size_t begin = offset;
-      offset += len;
-      pool.Submit([&values, &partials, p, begin, len, collect, do_annotate] {
-        JSONSI_SPAN("pipeline.worker");
-        PartitionPartial& pp = partials[p];
-        if (do_annotate) {
-          pp.annotation = std::make_unique<annotate::Annotation>();
-        }
-        Stopwatch infer_watch;
-        std::vector<TypeRef> typed;
-        typed.reserve(len);
-        for (size_t i = begin; i < begin + len; ++i) {
-          typed.push_back(
-              inference::InferType(*values[i], pp.annotation.get()));
-        }
-        pp.infer_seconds = infer_watch.ElapsedSeconds();
-        if (collect) {
-          for (size_t i = 0; i < typed.size(); ++i) {
-            pp.distinct.Add(typed[i]);
-            size_t s = typed[i]->size();
-            if (i == 0) {
-              pp.min_size = pp.max_size = s;
-            } else {
-              pp.min_size = std::min(pp.min_size, s);
-              pp.max_size = std::max(pp.max_size, s);
-            }
-            pp.total_size += static_cast<double>(s);
-          }
-        }
-        Stopwatch fuse_watch;
-        fusion::TreeFuser fuser;
-        for (TypeRef& t : typed) fuser.Add(std::move(t));
-        pp.partial = fuser.Finish();
-        pp.fuse_seconds = fuse_watch.ElapsedSeconds();
-        pp.count = len;
-      });
+    if (parts == 1) {
+      slice_task(0, n, &partials[0]);
+    } else {
+      pool.emplace(options.num_threads);
+      const size_t base = n / parts;
+      const size_t extra = n % parts;
+      size_t offset = 0;
+      for (size_t p = 0; p < parts; ++p) {
+        const size_t len = base + (p < extra ? 1 : 0);
+        pool->Submit([&slice_task, &partials, p, begin = offset, len] {
+          JSONSI_SPAN("pipeline.worker");
+          slice_task(begin, len, &partials[p]);
+        });
+        offset += len;
+      }
+      pool->Wait();
+      JSONSI_RETURN_IF_ERROR(pool->first_error());
     }
-    pool.Wait();
-  }
-  JSONSI_RETURN_IF_ERROR(pool.first_error());
-
-  if (do_annotate) {
-    // Associativity + commutativity make any merge order exact; index order
-    // keeps the fold deterministic anyway.
-    auto acc = std::make_unique<annotate::Annotation>();
-    for (PartitionPartial& pp : partials) {
-      if (pp.annotation) acc->MergeFrom(*pp.annotation);
-    }
-    schema->annotation = std::move(acc);
   }
 
+  // Associativity + commutativity make any merge order exact; index order
+  // keeps the folds deterministic anyway.
+  TypeStats stats;
+  std::unique_ptr<annotate::Annotation> annotation;
   double max_infer = 0, max_fuse = 0;
-  for (const PartitionPartial& pp : partials) {
+  for (PartitionPartial& pp : partials) {
+    stats.Merge(pp.stats);
+    if (!annotation) {
+      annotation = std::move(pp.annotation);
+    } else if (pp.annotation) {
+      annotation->MergeFrom(*pp.annotation);
+    }
     max_infer = std::max(max_infer, pp.infer_seconds);
     max_fuse = std::max(max_fuse, pp.fuse_seconds);
   }
-  if (collect) {
-    stats::DistinctTypeSet distinct;
-    size_t min = 0, max = 0, count = 0;
-    double total = 0;
-    for (PartitionPartial& pp : partials) {
-      if (pp.count == 0) continue;
-      distinct.Merge(pp.distinct);
-      min = (count == 0) ? pp.min_size : std::min(min, pp.min_size);
-      max = std::max(max, pp.max_size);
-      total += pp.total_size;
-      count += pp.count;
-    }
-    schema->stats.distinct_type_count = distinct.size();
-    schema->stats.min_type_size = min;
-    schema->stats.max_type_size = max;
-    schema->stats.avg_type_size =
-        count ? total / static_cast<double>(count) : 0.0;
-  }
+  if (options.collect_stats) stats.WriteTo(&schema->stats);
+  if (annotation) schema->annotation = std::move(annotation);
 
   Stopwatch reduce_watch;
   size_t rounds = 0;
-  {
+  if (parts == 1) {
+    schema->type = std::move(partials[0].partial);
+  } else {
     JSONSI_SPAN("infer.reduce");
     std::vector<TypeRef> types;
     types.reserve(parts);
@@ -246,11 +183,12 @@ Status InferParallel(const std::vector<json::ValueRef>& values,
       types.push_back(std::move(pp.partial));
     }
     schema->type = engine::ParallelTreeReduce(
-        pool, std::move(types), Type::Empty(),
+        *pool, std::move(types), Type::Empty(),
         [](const TypeRef& a, const TypeRef& b) { return fusion::Fuse(a, b); },
         &rounds);
+    JSONSI_RETURN_IF_ERROR(pool->first_error());
   }
-  JSONSI_RETURN_IF_ERROR(pool.first_error());
+  // Critical path: the slowest slice's Map and fold, plus the tree-reduce.
   schema->stats.infer_seconds = max_infer;
   schema->stats.fuse_seconds = max_fuse + reduce_watch.ElapsedSeconds();
 
@@ -258,19 +196,11 @@ Status InferParallel(const std::vector<json::ValueRef>& values,
     JSONSI_COUNTER("map.records").Add(n);
     JSONSI_COUNTER("map.partitions").Add(parts);
     JSONSI_COUNTER("reduce.partials").Add(parts);
-    JSONSI_COUNTER("pipeline.parallel.runs").Increment();
-    JSONSI_COUNTER("pipeline.parallel.records").Add(n);
-    JSONSI_COUNTER("pipeline.parallel.partitions").Add(parts);
-    JSONSI_COUNTER("pipeline.parallel.reduce_rounds").Add(rounds);
-    for (const PartitionPartial& pp : partials) {
-      JSONSI_HISTOGRAM("map.partition_ns")
-          .Record(pp.infer_seconds > 0
-                      ? static_cast<uint64_t>(pp.infer_seconds * 1e9)
-                      : 0);
-      JSONSI_HISTOGRAM("reduce.partition_ns")
-          .Record(pp.fuse_seconds > 0
-                      ? static_cast<uint64_t>(pp.fuse_seconds * 1e9)
-                      : 0);
+    if (parts > 1) {
+      JSONSI_COUNTER("pipeline.parallel.runs").Increment();
+      JSONSI_COUNTER("pipeline.parallel.records").Add(n);
+      JSONSI_COUNTER("pipeline.parallel.partitions").Add(parts);
+      JSONSI_COUNTER("pipeline.parallel.reduce_rounds").Add(rounds);
     }
     JSONSI_HISTOGRAM("infer.fused_size")
         .Record(schema->type ? schema->type->size() : 0);
@@ -278,183 +208,15 @@ Status InferParallel(const std::vector<json::ValueRef>& values,
   return Status::OK();
 }
 
-// ---- Typed pipeline tail: the DOM-free ingestion path already ran the
-// Map phase (DirectInferType per line), so only statistics and the Reduce
-// phase remain. Both variants read `typed` without consuming it — retry
-// attempts re-run over the intact vector. ----
-
-Status InferSerialTyped(const std::vector<TypeRef>& typed,
-                        const InferenceOptions& options, Schema* schema) {
-  JSONSI_SPAN("infer.pipeline");
-  schema->stats.record_count = typed.size();
-  schema->stats.direct_records = typed.size();
-
-  if (options.collect_stats && !typed.empty()) {
-    JSONSI_SPAN("infer.stats");
-    stats::DistinctTypeSet distinct;
-    size_t min = 0, max = 0;
-    double total = 0;
-    for (size_t i = 0; i < typed.size(); ++i) {
-      distinct.Add(typed[i]);
-      size_t s = typed[i]->size();
-      if (i == 0) {
-        min = max = s;
-      } else {
-        min = std::min(min, s);
-        max = std::max(max, s);
-      }
-      total += static_cast<double>(s);
-    }
-    schema->stats.distinct_type_count = distinct.size();
-    schema->stats.min_type_size = min;
-    schema->stats.max_type_size = max;
-    schema->stats.avg_type_size = total / static_cast<double>(typed.size());
-  }
-
-  Stopwatch fuse_watch;
-  {
-    JSONSI_SPAN("infer.reduce");
-    fusion::TreeFuser fuser;
-    for (const TypeRef& t : typed) fuser.Add(t);
-    schema->type = fuser.Finish();
-  }
-  schema->stats.fuse_seconds = fuse_watch.ElapsedSeconds();
-  if (telemetry::Enabled()) {
-    JSONSI_COUNTER("map.records").Add(typed.size());
-    JSONSI_COUNTER("map.partitions").Increment();
-    JSONSI_COUNTER("reduce.partials").Increment();
-    JSONSI_HISTOGRAM("infer.fused_size")
-        .Record(schema->type ? schema->type->size() : 0);
-  }
-  return Status::OK();
-}
-
-Status InferParallelTyped(const std::vector<TypeRef>& typed,
-                          const InferenceOptions& options, Schema* schema) {
-  JSONSI_SPAN("infer.pipeline");
-  const size_t n = typed.size();
-  schema->stats.record_count = n;
-  schema->stats.direct_records = n;
-  if (n == 0) {
-    schema->type = Type::Empty();
-    return Status::OK();
-  }
-
-  engine::ThreadPool pool(options.num_threads);
-  const size_t parts =
-      std::max<size_t>(1, std::min(options.num_partitions, n));
-  std::vector<PartitionPartial> partials(parts);
-  const bool collect = options.collect_stats;
-
-  {
-    JSONSI_SPAN("infer.map");
-    const size_t base = n / parts;
-    const size_t extra = n % parts;
-    size_t offset = 0;
-    for (size_t p = 0; p < parts; ++p) {
-      const size_t len = base + (p < extra ? 1 : 0);
-      const size_t begin = offset;
-      offset += len;
-      pool.Submit([&typed, &partials, p, begin, len, collect] {
-        JSONSI_SPAN("pipeline.worker");
-        PartitionPartial& pp = partials[p];
-        if (collect) {
-          for (size_t i = begin; i < begin + len; ++i) {
-            pp.distinct.Add(typed[i]);
-            size_t s = typed[i]->size();
-            if (i == begin) {
-              pp.min_size = pp.max_size = s;
-            } else {
-              pp.min_size = std::min(pp.min_size, s);
-              pp.max_size = std::max(pp.max_size, s);
-            }
-            pp.total_size += static_cast<double>(s);
-          }
-        }
-        Stopwatch fuse_watch;
-        fusion::TreeFuser fuser;
-        for (size_t i = begin; i < begin + len; ++i) fuser.Add(typed[i]);
-        pp.partial = fuser.Finish();
-        pp.fuse_seconds = fuse_watch.ElapsedSeconds();
-        pp.count = len;
-      });
-    }
-    pool.Wait();
-  }
-  JSONSI_RETURN_IF_ERROR(pool.first_error());
-
-  double max_fuse = 0;
-  for (const PartitionPartial& pp : partials) {
-    max_fuse = std::max(max_fuse, pp.fuse_seconds);
-  }
-  if (collect) {
-    stats::DistinctTypeSet distinct;
-    size_t min = 0, max = 0, count = 0;
-    double total = 0;
-    for (PartitionPartial& pp : partials) {
-      if (pp.count == 0) continue;
-      distinct.Merge(pp.distinct);
-      min = (count == 0) ? pp.min_size : std::min(min, pp.min_size);
-      max = std::max(max, pp.max_size);
-      total += pp.total_size;
-      count += pp.count;
-    }
-    schema->stats.distinct_type_count = distinct.size();
-    schema->stats.min_type_size = min;
-    schema->stats.max_type_size = max;
-    schema->stats.avg_type_size =
-        count ? total / static_cast<double>(count) : 0.0;
-  }
-
-  Stopwatch reduce_watch;
-  size_t rounds = 0;
-  {
-    JSONSI_SPAN("infer.reduce");
-    std::vector<TypeRef> types;
-    types.reserve(parts);
-    for (PartitionPartial& pp : partials) {
-      types.push_back(std::move(pp.partial));
-    }
-    schema->type = engine::ParallelTreeReduce(
-        pool, std::move(types), Type::Empty(),
-        [](const TypeRef& a, const TypeRef& b) { return fusion::Fuse(a, b); },
-        &rounds);
-  }
-  JSONSI_RETURN_IF_ERROR(pool.first_error());
-  // Map cost lives in the fused ingestion pass; the caller adds it.
-  schema->stats.fuse_seconds = max_fuse + reduce_watch.ElapsedSeconds();
-
-  if (telemetry::Enabled()) {
-    JSONSI_COUNTER("map.records").Add(n);
-    JSONSI_COUNTER("map.partitions").Add(parts);
-    JSONSI_COUNTER("reduce.partials").Add(parts);
-    JSONSI_COUNTER("pipeline.parallel.runs").Increment();
-    JSONSI_COUNTER("pipeline.parallel.records").Add(n);
-    JSONSI_COUNTER("pipeline.parallel.partitions").Add(parts);
-    JSONSI_COUNTER("pipeline.parallel.reduce_rounds").Add(rounds);
-    for (const PartitionPartial& pp : partials) {
-      JSONSI_HISTOGRAM("reduce.partition_ns")
-          .Record(pp.fuse_seconds > 0
-                      ? static_cast<uint64_t>(pp.fuse_seconds * 1e9)
-                      : 0);
-    }
-    JSONSI_HISTOGRAM("infer.fused_size")
-        .Record(schema->type ? schema->type->size() : 0);
-  }
-  return Status::OK();
-}
-
-// Retrying driver over the typed tail — the typed analogue of
-// TryInferFromValues, sound for the same algebraic reasons.
-Result<Schema> TryInferTyped(const std::vector<TypeRef>& typed,
-                             const InferenceOptions& options) {
+// RunPipeline under the retry policy.
+template <typename SliceTask>
+Result<Schema> InferWithRetry(size_t n, const InferenceOptions& options,
+                              const SliceTask& slice_task) {
   Schema schema;
   Status st = engine::RunWithRetry(
       [&]() -> Status {
         schema = Schema{};
-        return options.num_threads <= 1
-                   ? InferSerialTyped(typed, options, &schema)
-                   : InferParallelTyped(typed, options, &schema);
+        return RunPipeline(n, options, slice_task, &schema);
       },
       options.retry);
   if (!st.ok()) return st;
@@ -465,21 +227,27 @@ Result<Schema> TryInferTyped(const std::vector<TypeRef>& typed,
 
 Result<Schema> SchemaInferencer::TryInferFromValues(
     const std::vector<json::ValueRef>& values) const {
-  Schema schema;
-  // The whole pipeline is a pure function of `values` (inference is
-  // deterministic, fusion associative/commutative), so re-running it after a
-  // transient worker failure is sound — the retry-safety corollary of
-  // Theorems 5.4/5.5. Each parallel attempt runs on a fresh pool.
-  Status st = engine::RunWithRetry(
-      [&]() -> Status {
-        schema = Schema{};
-        return options_.num_threads <= 1
-                   ? InferSerial(values, options_, &schema)
-                   : InferParallel(values, options_, &schema);
-      },
-      options_.retry);
-  if (!st.ok()) return st;
-  return schema;
+  // The value front end: each slice task runs the Map phase (Figure 4) on
+  // its values, then the shared fold.
+  return InferWithRetry(
+      values.size(), options_,
+      [&values, this](size_t begin, size_t len, PartitionPartial* pp) {
+        if (options_.annotate) {
+          pp->annotation = std::make_unique<annotate::Annotation>();
+        }
+        Stopwatch infer_watch;
+        std::vector<TypeRef> typed;
+        typed.reserve(len);
+        for (size_t i = begin; i < begin + len; ++i) {
+          typed.push_back(
+              inference::InferType(*values[i], pp->annotation.get()));
+        }
+        pp->infer_seconds = infer_watch.ElapsedSeconds();
+        if (telemetry::Enabled()) {
+          RecordNanos(JSONSI_HISTOGRAM("map.partition_ns"), pp->infer_seconds);
+        }
+        FoldSlice(typed.data(), len, options_.collect_stats, pp);
+      });
 }
 
 Schema SchemaInferencer::InferFromValues(
@@ -495,37 +263,32 @@ Schema SchemaInferencer::InferFromValues(
   return std::move(result).value();
 }
 
-Result<Schema> SchemaInferencer::InferDirectFromJsonLines(
+Result<Schema> SchemaInferencer::InferFromJsonLines(
     std::string_view text, json::IngestStats* stats) const {
   std::vector<TypeRef> typed;
   std::unique_ptr<annotate::Annotation> annotation;
   if (options_.annotate) annotation = std::make_unique<annotate::Annotation>();
-  double ingest_seconds = 0;
+  Stopwatch ingest_watch;
 
   if (options_.num_threads <= 1 ||
       text.size() < options_.parallel_ingest_min_bytes) {
     // Serial fused pass: one DirectInferType per line behind the standard
     // degraded-mode line machinery — same policy decisions, same report.
-    Stopwatch ingest_watch;
-    {
-      JSONSI_SPAN("infer.direct");
-      json::LineFn fn = [&](std::string_view line) -> Result<bool> {
-        // Folds straight into the accumulator: DirectInferType observes a
-        // line only after accepting it, so malformed lines leave no trace.
-        Result<TypeRef> t = inference::DirectInferType(
-            line, options_.ingest.parse, annotation.get());
-        if (!t.ok()) return t.status();
-        typed.push_back(std::move(t).value());
-        return true;
-      };
-      Status st = json::IngestJsonLines(text, fn, options_.ingest, stats);
-      if (!st.ok()) return st;
-    }
-    ingest_seconds = ingest_watch.ElapsedSeconds();
+    JSONSI_SPAN("infer.direct");
+    json::LineFn fn = [&](std::string_view line) -> Result<bool> {
+      // Folds straight into the accumulator: DirectInferType observes a
+      // line only after accepting it, so malformed lines leave no trace.
+      Result<TypeRef> t = inference::DirectInferType(
+          line, options_.ingest.parse, annotation.get());
+      if (!t.ok()) return t.status();
+      typed.push_back(std::move(t).value());
+      return true;
+    };
+    Status st = json::IngestJsonLines(text, fn, options_.ingest, stats);
+    if (!st.ok()) return st;
   } else {
-    // Chunk-parallel fused pass: DOM-free chunk workers, then the shared
-    // sequential policy replay for exact serial-reader semantics.
-    Stopwatch ingest_watch;
+    // Chunk-parallel fused pass: chunk workers type their lines, then the
+    // sequential policy replay gives exact serial-reader semantics.
     JSONSI_SPAN("infer.direct.parallel");
     const size_t max_chunks =
         options_.num_threads * std::max<size_t>(1, options_.chunks_per_thread);
@@ -579,64 +342,20 @@ Result<Schema> SchemaInferencer::InferDirectFromJsonLines(
       }
     }
     typed = inference::TakeIncludedTypes(std::move(outcomes), replay);
-    ingest_seconds = ingest_watch.ElapsedSeconds();
   }
+  const double ingest_seconds = ingest_watch.ElapsedSeconds();
 
-  Result<Schema> schema = TryInferTyped(typed, options_);
+  // The typed front end: the Map phase already ran, only the fold remains.
+  Result<Schema> schema = InferWithRetry(
+      typed.size(), options_,
+      [&typed, this](size_t begin, size_t len, PartitionPartial* pp) {
+        FoldSlice(typed.data() + begin, len, options_.collect_stats, pp);
+      });
   if (!schema.ok()) return schema;
   // Parsing and Map are one fused pass on this path; bill it as Map cost.
   schema.value().stats.infer_seconds += ingest_seconds;
   schema.value().annotation = std::move(annotation);
   return schema;
-}
-
-Result<Schema> SchemaInferencer::InferFromJsonLines(
-    std::string_view text, json::IngestStats* stats) const {
-  if (options_.direct_infer) return InferDirectFromJsonLines(text, stats);
-  if (options_.num_threads <= 1 ||
-      text.size() < options_.parallel_ingest_min_bytes) {
-    Result<std::vector<json::ValueRef>> values =
-        json::ParseJsonLines(text, options_.ingest, stats);
-    if (!values.ok()) return values.status();
-    return TryInferFromValues(values.value());
-  }
-
-  // Chunk-parallel ingestion: cut on line boundaries, parse chunks on the
-  // pool, then replay the malformed-line policy sequentially so degraded
-  // mode behaves byte-for-byte like the serial reader (jsonl_chunk.h).
-  std::vector<json::ValueRef> values;
-  {
-    JSONSI_SPAN("ingest.parallel");
-    const size_t max_chunks =
-        options_.num_threads * std::max<size_t>(1, options_.chunks_per_thread);
-    std::vector<json::ChunkSpan> spans =
-        json::SplitJsonLines(text, max_chunks);
-    std::vector<json::ChunkOutcome> outcomes(spans.size());
-    {
-      engine::ThreadPool pool(options_.num_threads);
-      for (size_t i = 0; i < spans.size(); ++i) {
-        pool.Submit([&text, &spans, &outcomes, i, this] {
-          JSONSI_SPAN("ingest.chunk_worker");
-          outcomes[i] = json::ParseJsonLinesChunk(
-              text.substr(spans[i].begin, spans[i].size()),
-              options_.ingest.parse, options_.ingest.max_recorded_errors,
-              i == 0);
-        });
-      }
-      pool.Wait();
-      JSONSI_RETURN_IF_ERROR(pool.first_error());
-    }
-    if (telemetry::Enabled()) {
-      JSONSI_COUNTER("pipeline.parallel.chunks").Add(spans.size());
-    }
-    json::IngestStats local;
-    json::IngestStats* out = stats ? stats : &local;
-    json::ChunkReplay replay =
-        json::ReplayChunkPolicy(outcomes, options_.ingest, out);
-    if (!replay.status.ok()) return replay.status;
-    values = json::TakeIncludedValues(std::move(outcomes), replay);
-  }
-  return TryInferFromValues(values);
 }
 
 Result<Schema> SchemaInferencer::InferFromFile(
@@ -695,7 +414,6 @@ Result<Schema> SchemaInferencer::InferFromSource(
   sopts.max_error_rate = options_.ingest.max_error_rate;
   sopts.min_lines_for_rate = options_.ingest.min_lines_for_rate;
   sopts.max_recorded_errors = options_.ingest.max_recorded_errors;
-  sopts.direct_infer = options_.direct_infer;
   StreamingInferencer stream(sopts);
   io::PipelineReader reader(&source, options_.io);
   PumpOptions pump;
@@ -703,12 +421,7 @@ Result<Schema> SchemaInferencer::InferFromSource(
   Status st = PumpJsonLines(reader, stream, pump);
   if (stats) *stats = stream.ingest_stats();
   if (!st.ok()) return st;
-  Schema schema = stream.Snapshot();
-  // Snapshot() does not know which pipeline typed the records; keep the
-  // --stats ingestion row self-describing.
-  (options_.direct_infer ? schema.stats.direct_records
-                         : schema.stats.dom_records) = stream.record_count();
-  return schema;
+  return stream.Snapshot();
 }
 
 Schema SchemaInferencer::Merge(const Schema& a, const Schema& b) {
@@ -743,8 +456,6 @@ Schema SchemaInferencer::Merge(const Schema& a, const Schema& b) {
   }
   out.stats.infer_seconds = sa.infer_seconds + sb.infer_seconds;
   out.stats.fuse_seconds = sa.fuse_seconds + sb.fuse_seconds;
-  out.stats.direct_records = sa.direct_records + sb.direct_records;
-  out.stats.dom_records = sa.dom_records + sb.dom_records;
   if (a.annotation || b.annotation) {
     // The annotation lattice merges exactly like the types do (the same
     // monoid fold), so the merged schema's statistics are those of the

@@ -16,7 +16,8 @@
 // the thread pool —
 //
 //   * text input is cut into ~4x-threads chunks on line boundaries
-//     (json/jsonl_chunk.h) and parsed chunk-parallel, with the degraded-mode
+//     (json/jsonl_chunk.h) and typed chunk-parallel without a DOM
+//     (inference/direct_infer.h), with the degraded-mode
 //     MalformedLinePolicy replayed to exact serial semantics;
 //   * the Map phase runs one task per partition, each owning a thread-local
 //     TreeFuser that folds its slice as it is typed (interning is process-
@@ -81,13 +82,6 @@ struct InferenceOptions {
   engine::RetryPolicy retry;
   /// Malformed-line handling for the text/file entry points.
   json::IngestOptions ingest;
-  /// Fuse parsing and the Map phase into one DOM-free pass for the
-  /// text/file entry points (inference/direct_infer.h): types are built
-  /// straight from the token stream, no json::Value is materialized. Error
-  /// messages, positions and degraded-mode policy decisions are identical
-  /// to the DOM path. On by default; `jsi infer --no-direct` (or setting
-  /// this false) restores the parse-then-infer pipeline for A/B runs.
-  bool direct_infer = true;
   /// Text inputs at least this large are ingested chunk-parallel when
   /// num_threads > 1 (below it, chunking overhead beats the win). Tests set
   /// 0 to force the parallel path on tiny inputs.
@@ -120,18 +114,13 @@ struct SchemaStats {
   size_t max_type_size = 0;
   double avg_type_size = 0;         // mean over records (not distinct types)
   /// Map-phase cost. Serial: wall-clock of the inference loop. Parallel:
-  /// the critical path — the slowest worker's inference time. On the
-  /// direct-inference path parsing and Map are one fused pass, so this is
-  /// the ingestion wall-clock (serial) or the slowest chunk worker.
+  /// the critical path — the slowest worker's inference time. For text
+  /// input parsing and Map are one fused pass, so this is the ingestion
+  /// wall-clock.
   double infer_seconds = 0;
   /// Reduce-phase cost. Serial: wall-clock of the fold. Parallel: slowest
   /// worker's partition fold plus the tree-reduce wall-clock.
   double fuse_seconds = 0;
-  /// Ingestion-mode accounting: how many records were typed DOM-free
-  /// (direct) vs through a materialized json::Value (dom). Merge sums both,
-  /// so A/B and mixed runs stay self-describing (`jsi infer --stats`).
-  size_t direct_records = 0;
-  size_t dom_records = 0;
 };
 
 /// An inferred schema: the fused type plus run statistics.
@@ -164,8 +153,11 @@ class SchemaInferencer {
   Result<Schema> TryInferFromValues(
       const std::vector<json::ValueRef>& values) const;
 
-  /// Parses JSON-Lines text (per options().ingest), then infers. `stats`,
-  /// when provided, receives the ingestion report.
+  /// Infers JSON-Lines text (per options().ingest) DOM-free: each line is
+  /// typed straight off the token stream (inference/direct_infer.h), serial
+  /// or chunk-parallel, then reduced like InferFromValues. Schema, errors
+  /// and `stats` (the ingestion report, when provided) equal those of
+  /// json::ParseJsonLines followed by InferFromValues.
   Result<Schema> InferFromJsonLines(std::string_view text,
                                     json::IngestStats* stats = nullptr) const;
 
@@ -194,11 +186,6 @@ class SchemaInferencer {
   const InferenceOptions& options() const { return options_; }
 
  private:
-  /// DOM-free text ingestion: DirectInferType per line (serial) or per
-  /// chunk worker (parallel), then the typed Reduce tail.
-  Result<Schema> InferDirectFromJsonLines(std::string_view text,
-                                          json::IngestStats* stats) const;
-
   InferenceOptions options_;
 };
 

@@ -8,11 +8,13 @@
 // without stopping ingestion. Snapshots are exact: by associativity, the
 // snapshot schema equals the batch schema of everything pushed so far.
 //
-// Two streaming profiles can be enabled:
-//   * distinct-type counting (hash-based, 8 bytes per distinct type),
-//   * the statistics/provenance profiler of annotate/counted_schema.h.
+// Distinct-type counting (hash-based, 8 bytes per distinct type) can be
+// switched off.
 //
-// Text ingestion runs in degraded mode on request: a MalformedLinePolicy
+// Text ingestion is DOM-free: each line is typed straight off the token
+// stream (inference/direct_infer.h), serially or chunk-parallel; the
+// snapshot equals that of AddValue over json::ParseJsonLines of the same
+// text. It runs in degraded mode on request: a MalformedLinePolicy
 // decides whether a bad line aborts the stream, is skipped, or is skipped
 // until bad lines exceed a tolerated rate, and ingest_stats() reports what
 // was read, skipped, and where the first errors were.
@@ -21,15 +23,14 @@
 #define JSONSI_CORE_STREAMING_INFERENCER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <unordered_set>
 
-#include "annotate/counted_schema.h"
 #include "core/schema_inferencer.h"
 #include "fusion/tree_fuser.h"
 #include "json/jsonl.h"
 #include "json/value.h"
+#include "stats/type_stats.h"
 #include "support/status.h"
 #include "types/type.h"
 
@@ -39,8 +40,8 @@ namespace jsonsi::core {
 struct StreamingOptions {
   /// Track the number of distinct inferred types (Tables 2-5 metric).
   bool count_distinct_types = true;
-  /// Per-document parser budgets, applied identically on the DOM and direct
-  /// paths, serial and chunk-parallel: `max_depth` caps nesting,
+  /// Per-document parser budgets, applied identically by AddJson and the
+  /// text paths, serial and chunk-parallel: `max_depth` caps nesting,
   /// `max_document_bytes` caps line size (0 = unlimited). A document over
   /// either budget is a malformed line under `on_malformed` — degraded-mode
   /// streams skip it and keep going instead of aborting.
@@ -54,26 +55,12 @@ struct StreamingOptions {
   /// lower bound), and the global caches are cleared (identity-preserving —
   /// they are pure accelerators). The schema itself is never dropped.
   size_t soft_memory_limit_bytes = 0;
-  /// Maintain the annotated profile (field counts, provenance, value stats).
-  /// Costs one extra pass per record.
-  bool profile = false;
-  /// Legacy switch: when true (and on_malformed is the default kFail),
-  /// malformed input is counted and skipped — equivalent to
-  /// MalformedLinePolicy::kSkip.
-  bool skip_malformed = false;
   /// Degraded-mode policy for AddJson/AddJsonLines; see json/jsonl.h.
   json::MalformedLinePolicy on_malformed = json::MalformedLinePolicy::kFail;
   /// kFailAboveRate knobs (same semantics as json::IngestOptions).
   double max_error_rate = 0.01;
   uint64_t min_lines_for_rate = 100;
   size_t max_recorded_errors = 8;
-  /// Ingest AddJsonLines{,Parallel} text DOM-free (inference/direct_infer.h):
-  /// types are built straight from the token stream, no json::Value per
-  /// line. Policy decisions, reports and the snapshot schema are identical
-  /// to the DOM path. Ignored (DOM path used) when `profile` is set — the
-  /// profiler needs the parsed values. AddValue/AddJson always use the DOM
-  /// path: their inputs are values by definition.
-  bool direct_infer = true;
 };
 
 /// Accumulates a schema over a pushed stream of records.
@@ -89,7 +76,7 @@ class StreamingInferencer {
   /// kFailAboveRate records and fails once the tolerated rate is exceeded.
   Status AddJson(std::string_view json_text);
 
-  /// Parses and pushes a whole JSON-Lines buffer (blank lines skipped,
+  /// Types and pushes a whole JSON-Lines buffer (blank lines skipped,
   /// CRLF/BOM tolerated, zero-copy line slicing). Chunks may be fed
   /// repeatedly; ingest_stats() accumulates across calls with coherent
   /// line numbers. Passing `end_of_stream = false` marks the buffer as an
@@ -98,12 +85,12 @@ class StreamingInferencer {
   /// so a batched feed aborts exactly where a one-shot read would.
   Status AddJsonLines(std::string_view text, bool end_of_stream = true);
 
-  /// As AddJsonLines, but parses and infers the buffer chunk-parallel on
-  /// `num_threads` workers (0 = hardware concurrency; <= 1 falls back to
-  /// the serial method). Exactly equivalent to AddJsonLines — the degraded-
-  /// mode policy is replayed against the cumulative stream (rate_baseline =
-  /// ingest_stats()), profiling provenance keeps global record ordinals,
-  /// and the snapshot schema is structurally identical by associativity.
+  /// As AddJsonLines, but types the buffer chunk-parallel on `num_threads`
+  /// workers (0 = hardware concurrency; <= 1 falls back to the serial
+  /// method). Exactly equivalent to AddJsonLines — the degraded-mode policy
+  /// is replayed against the cumulative stream (rate_baseline =
+  /// ingest_stats()), and the snapshot schema is structurally identical by
+  /// associativity.
   Status AddJsonLinesParallel(std::string_view text, size_t num_threads = 0,
                               bool end_of_stream = true);
 
@@ -113,7 +100,7 @@ class StreamingInferencer {
   Status FinishStream();
 
   /// Merges another streaming inferencer (e.g. one per shard) into this one.
-  /// Exact, by associativity/commutativity of fusion and profile merging.
+  /// Exact, by associativity/commutativity of fusion.
   /// Distinct-type counts merge exactly (hash-set union).
   void Merge(const StreamingInferencer& other);
 
@@ -122,9 +109,8 @@ class StreamingInferencer {
   Schema Snapshot() const;
 
   /// Records successfully ingested so far.
-  uint64_t record_count() const { return record_count_; }
-  /// Text inputs rejected so far (only grows under kSkip/kFailAboveRate, or
-  /// with the legacy skip_malformed switch).
+  uint64_t record_count() const { return sizes_.count; }
+  /// Text inputs rejected so far (only grows under kSkip/kFailAboveRate).
   uint64_t malformed_count() const { return ingest_stats_.malformed_lines; }
 
   /// Cumulative text-ingestion report (AddJson + AddJsonLines).
@@ -132,9 +118,6 @@ class StreamingInferencer {
   /// the byte just past the last fully-processed line — and is what a
   /// checkpoint records as the position to restart reading from.
   const json::IngestStats& ingest_stats() const { return ingest_stats_; }
-
-  /// The annotated profile; nullptr unless options.profile was set.
-  const annotate::SchemaProfiler* profiler() const { return profiler_.get(); }
 
   /// The streaming configuration this inferencer was built with.
   const StreamingOptions& options() const { return options_; }
@@ -152,17 +135,12 @@ class StreamingInferencer {
   friend Status RestoreCheckpoint(std::string_view text,
                                   StreamingInferencer* inferencer);
 
-  json::MalformedLinePolicy EffectivePolicy() const;
-  /// True when text ingestion should run DOM-free.
-  bool UseDirectIngestion() const {
-    return options_.direct_infer && !profiler_;
-  }
+  /// Line-machinery options for one text batch: the streaming policy, with
+  /// the cumulative report as rate baseline and BOM/continuation state.
+  json::IngestOptions BatchIngestOptions(bool end_of_stream) const;
   /// Folds one inferred type into the running schema and statistics — the
-  /// shared tail of AddValue (DOM) and the direct ingestion paths.
+  /// shared tail of AddValue and the serial text path.
   void AddType(types::TypeRef type);
-  /// DOM-free chunk-parallel ingestion (AddJsonLinesParallel's direct arm).
-  Status AddJsonLinesParallelDirect(std::string_view text, size_t num_threads,
-                                    bool end_of_stream);
   /// Mirrors the cumulative ingestion report into stream.* gauges (no-op
   /// while telemetry is disabled).
   void PublishIngestTelemetry() const;
@@ -175,13 +153,9 @@ class StreamingInferencer {
   StreamingOptions options_;
   fusion::TreeFuser fuser_;
   std::unordered_set<uint64_t> distinct_hashes_;
-  std::unique_ptr<annotate::SchemaProfiler> profiler_;
   json::IngestStats ingest_stats_;
-  uint64_t record_count_ = 0;
-  // Running size stats over inferred types.
-  size_t min_type_size_ = 0;
-  size_t max_type_size_ = 0;
-  double total_type_size_ = 0;
+  // Running size stats over inferred types; `count` is the record count.
+  stats::SizeAccumulator sizes_;
   // Sticky soft-watermark latch: once crossed, the distinct-type set stops
   // growing and the dedup buffer stays flushed.
   bool memory_degraded_ = false;

@@ -466,9 +466,9 @@ TypedChunkOutcome InferJsonLinesChunk(std::string_view chunk,
   TypedChunkOutcome out;
   if (annotate) out.annotation = std::make_unique<annotate::Annotation>();
   size_t pos = 0;
-  // Identical line-splitting loop to json::ParseJsonLinesChunk, with
-  // DirectInferType in place of Parse — the only difference between the
-  // DOM and DOM-free chunk workers.
+  // Same line splitting as the serial line machinery in json/jsonl.cc:
+  // '\n'-delimited, the byte offset advances past the consumed newline, a
+  // trailing '\n' yields no final empty line.
   while (pos < chunk.size()) {
     size_t nl = json::simd::FindNewline(chunk, pos);
     size_t end = nl;
@@ -494,6 +494,8 @@ TypedChunkOutcome InferJsonLinesChunk(std::string_view chunk,
       out.types.push_back(std::move(type).value());
       continue;
     }
+    // Malformed: record unconditionally (the policy runs at replay time) and
+    // snapshot the local counters so the replay can truncate here.
     ++out.stats.malformed_lines;
     if (out.stats.malformed_lines == 1) {
       out.first_error_message = type.status().message();

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "json/line_scan.h"
-#include "json/parser.h"
 #include "json/simd/kernel.h"
 #include "telemetry/telemetry.h"
 
@@ -45,56 +43,6 @@ std::vector<ChunkSpan> SplitJsonLines(std::string_view text,
   }
   spans.push_back(ChunkSpan{begin, text.size()});
   return spans;
-}
-
-ChunkOutcome ParseJsonLinesChunk(std::string_view chunk,
-                                 const ParseOptions& parse,
-                                 size_t max_recorded_errors,
-                                 bool first_chunk) {
-  JSONSI_SPAN("ingest.chunk");
-  ChunkOutcome out;
-  size_t pos = 0;
-  // Identical line-splitting loop to the serial string_view reader in
-  // jsonl.cc: '\n'-delimited, the byte offset advances past the consumed
-  // newline, a trailing '\n' yields no final empty line.
-  while (pos < chunk.size()) {
-    size_t nl = simd::FindNewline(chunk, pos);
-    size_t end = nl;
-    std::string_view line = chunk.substr(pos, end - pos);
-    uint64_t line_start = pos;
-    pos = nl < chunk.size() ? nl + 1 : chunk.size();
-    out.stats.bytes_read = pos;
-    // Every line is fully processed at the chunk stage (the abort decision
-    // is the replay's); the resume offset tracks the scan.
-    out.stats.bytes_consumed = pos;
-    ++out.stats.lines_read;
-    line = internal::UndecorateLine(line,
-                                    first_chunk && out.stats.lines_read == 1);
-    if (internal::IsBlankLine(line)) {
-      ++out.stats.blank_lines;
-      continue;
-    }
-    Result<ValueRef> value = Parse(line, parse);
-    if (value.ok()) {
-      ++out.stats.records;
-      out.values.push_back(std::move(value).value());
-      continue;
-    }
-    // Malformed: record unconditionally (the policy runs at replay time) and
-    // snapshot the local counters so the replay can truncate here.
-    ++out.stats.malformed_lines;
-    if (out.stats.malformed_lines == 1) {
-      out.first_error_message = value.status().message();
-    }
-    if (out.stats.errors.size() < max_recorded_errors) {
-      out.stats.errors.push_back(IngestError{
-          out.stats.lines_read, line_start, value.status().message()});
-    }
-    out.malformed.push_back(ChunkOutcome::MalformedAt{
-        out.stats.lines_read, out.stats.blank_lines, out.stats.records,
-        out.stats.malformed_lines, out.stats.bytes_read, line_start});
-  }
-  return out;
 }
 
 namespace {
@@ -148,15 +96,6 @@ Status RateError(const IngestOptions& options, const IngestStats& stats) {
 }
 
 }  // namespace
-
-ChunkReplay ReplayChunkPolicy(const std::vector<ChunkOutcome>& outcomes,
-                              const IngestOptions& options,
-                              IngestStats* stats) {
-  std::vector<const ChunkIngest*> views;
-  views.reserve(outcomes.size());
-  for (const ChunkOutcome& o : outcomes) views.push_back(&o);
-  return ReplayChunkPolicy(views, options, stats);
-}
 
 ChunkReplay ReplayChunkPolicy(const std::vector<const ChunkIngest*>& outcomes,
                               const IngestOptions& options,
@@ -231,30 +170,6 @@ ChunkReplay ReplayChunkPolicy(const std::vector<const ChunkIngest*>& outcomes,
   }
   RecordIngestTelemetry(*stats);
   return replay;
-}
-
-std::vector<ValueRef> TakeIncludedValues(std::vector<ChunkOutcome>&& outcomes,
-                                         const ChunkReplay& replay) {
-  size_t total = 0;
-  for (size_t c = 0; c < replay.full_chunks && c < outcomes.size(); ++c) {
-    total += outcomes[c].values.size();
-  }
-  total += replay.partial_records;
-  std::vector<ValueRef> values;
-  values.reserve(total);
-  for (size_t c = 0; c < replay.full_chunks && c < outcomes.size(); ++c) {
-    auto& chunk_values = outcomes[c].values;
-    values.insert(values.end(),
-                  std::make_move_iterator(chunk_values.begin()),
-                  std::make_move_iterator(chunk_values.end()));
-  }
-  if (replay.partial_records > 0 && replay.full_chunks < outcomes.size()) {
-    auto& chunk_values = outcomes[replay.full_chunks].values;
-    size_t keep = std::min(replay.partial_records, chunk_values.size());
-    values.insert(values.end(), std::make_move_iterator(chunk_values.begin()),
-                  std::make_move_iterator(chunk_values.begin() + keep));
-  }
-  return values;
 }
 
 }  // namespace jsonsi::json

@@ -1,14 +1,15 @@
 // Chunked JSON-Lines ingestion — the parallel counterpart of jsonl.h.
 //
-// A JSONL buffer is embarrassingly parallel to parse once it is cut on line
+// A JSONL buffer is embarrassingly parallel to read once it is cut on line
 // boundaries: SplitJsonLines() produces ~N byte ranges that never split a
 // line (CRLF pairs stay whole, a UTF-8 BOM stays in the first chunk), each
-// chunk parses independently on any thread (ParseJsonLinesChunk), and a
+// chunk is read independently on any thread (the chunk worker is
+// inference::InferJsonLinesChunk, which types lines without a DOM), and a
 // final sequential replay (ReplayChunkPolicy) re-applies the degraded-mode
-// MalformedLinePolicy of PR 1 over the concatenated outcomes.
+// MalformedLinePolicy over the concatenated outcomes.
 //
 // The replay is what makes the parallel read *exactly* equivalent to a
-// serial ReadJsonLines over the whole buffer — not merely "same values on
+// serial IngestJsonLines over the whole buffer — not merely "same records on
 // clean input":
 //
 //   * kFail aborts at the stream's first malformed line with the same
@@ -24,9 +25,9 @@
 //     offsets rebased chunk by chunk (IngestStats::Absorb), so error
 //     reports read as if one reader had scanned the whole buffer.
 //
-// The splitter and per-chunk parser live here in src/json/ and know nothing
-// about threads; the engine/core layers own the scheduling (see
-// core::SchemaInferencer::InferFromJsonLines and
+// The splitter and the payload-agnostic replay live here in src/json/ and
+// know nothing about threads or types; the core layer owns the scheduling
+// (see core::SchemaInferencer::InferFromJsonLines and
 // core::StreamingInferencer::AddJsonLinesParallel).
 
 #ifndef JSONSI_JSON_JSONL_CHUNK_H_
@@ -39,7 +40,6 @@
 #include <vector>
 
 #include "json/jsonl.h"
-#include "json/value.h"
 #include "support/status.h"
 
 namespace jsonsi::json {
@@ -64,8 +64,8 @@ std::vector<ChunkSpan> SplitJsonLines(std::string_view text,
 
 /// The policy-relevant half of one chunk's outcome: everything the
 /// sequential replay needs to re-make the degraded-mode decisions,
-/// independent of what the chunk worker produced per record (DOM values
-/// here, inferred types in inference/direct_infer.h). Chunk workers fill
+/// independent of what the chunk worker produced per record (inferred
+/// types, see inference::TypedChunkOutcome). Chunk workers fill
 /// it with *chunk-local* line numbers and byte offsets; ReplayChunkPolicy
 /// rebases them into stream coordinates.
 struct ChunkIngest {
@@ -91,23 +91,6 @@ struct ChunkIngest {
   std::string first_error_message;
 };
 
-/// Everything one DOM-parsing chunk contributes to the merged read.
-/// Produced by ParseJsonLinesChunk.
-struct ChunkOutcome : ChunkIngest {
-  /// Values parsed from the chunk, in line order.
-  std::vector<ValueRef> values;
-};
-
-/// Parses one chunk in isolation. Pure and thread-safe: may run
-/// concurrently with other chunks of the same buffer. `first_chunk` marks
-/// the chunk holding the stream's first line (only it tolerates a UTF-8
-/// BOM). `max_recorded_errors` bounds the per-chunk error list exactly like
-/// IngestOptions::max_recorded_errors bounds the serial reader's.
-ChunkOutcome ParseJsonLinesChunk(std::string_view chunk,
-                                 const ParseOptions& parse,
-                                 size_t max_recorded_errors,
-                                 bool first_chunk);
-
 /// Decision of the sequential policy replay over parsed chunks.
 struct ChunkReplay {
   /// OK, or the status a serial reader of the whole buffer would return.
@@ -121,28 +104,15 @@ struct ChunkReplay {
 };
 
 /// Replays `options.on_malformed` (with `options.rate_baseline`) over the
-/// outcomes in stream order and merges their reports into `*stats` exactly
-/// as a serial ReadJsonLines would have accumulated them — truncated at the
-/// abort point when the replay aborts. Outcomes must be in chunk order and
-/// cover the buffer contiguously. Also publishes the ingest.* telemetry
-/// counters for the merged read (once, not per chunk).
-ChunkReplay ReplayChunkPolicy(const std::vector<ChunkOutcome>& outcomes,
-                              const IngestOptions& options,
-                              IngestStats* stats);
-
-/// Payload-agnostic core of the replay: non-owning views of the chunks'
-/// policy halves, in chunk order. The DOM overload above and the typed
-/// (direct-inference) ingestion path both funnel into this.
+/// chunks' policy halves — non-owning views, in chunk order, covering the
+/// buffer contiguously — and merges their reports into `*stats` exactly as
+/// a serial IngestJsonLines would have accumulated them, truncated at the
+/// abort point when the replay aborts. Also publishes the ingest.*
+/// telemetry counters for the merged read (once, not per chunk). The typed
+/// overload inference::ReplayChunkPolicy funnels into this.
 ChunkReplay ReplayChunkPolicy(const std::vector<const ChunkIngest*>& outcomes,
                               const IngestOptions& options,
                               IngestStats* stats);
-
-/// Concatenates the values the replay decided to keep (full chunks plus the
-/// partial prefix of the aborting chunk), moving them out of `outcomes`.
-/// This matches what a serial degraded-mode reader would have delivered to
-/// its sink before the abort.
-std::vector<ValueRef> TakeIncludedValues(std::vector<ChunkOutcome>&& outcomes,
-                                         const ChunkReplay& replay);
 
 }  // namespace jsonsi::json
 

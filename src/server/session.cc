@@ -102,10 +102,6 @@ Result<SessionConfig> ParseSessionConfig(std::string_view body) {
       Result<std::string> v = ConfigStr(value, key);
       if (!v.ok()) return v.status();
       config.source = v.value();
-    } else if (key == "direct") {
-      Result<bool> v = ConfigBool(value, key);
-      if (!v.ok()) return v.status();
-      config.streaming.direct_infer = v.value();
     } else if (key == "count_distinct") {
       Result<bool> v = ConfigBool(value, key);
       if (!v.ok()) return v.status();

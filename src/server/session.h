@@ -59,8 +59,7 @@ struct SessionConfig {
 /// Recognized keys: "policy" ("fail" | "skip" | "fail-above-rate"),
 /// "max_error_rate", "min_lines_for_rate", "max_line_bytes", "max_depth",
 /// "memory_watermark_mb", "checkpoint", "resume", "threads", "source",
-/// "direct" (bool), "count_distinct" (bool). Unknown keys are rejected so
-/// typos fail loudly.
+/// "count_distinct" (bool). Unknown keys are rejected so typos fail loudly.
 Result<SessionConfig> ParseSessionConfig(std::string_view body);
 
 /// Point-in-time session accounting for responses and reports.

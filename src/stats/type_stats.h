@@ -5,6 +5,7 @@
 #ifndef JSONSI_STATS_TYPE_STATS_H_
 #define JSONSI_STATS_TYPE_STATS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <unordered_set>
 #include <vector>
@@ -45,6 +46,35 @@ struct SizeStats {
 
 /// Computes size statistics over `ts` (count==0 gives all-zero stats).
 SizeStats ComputeSizeStats(const std::vector<types::TypeRef>& ts);
+
+/// Running count / min / max / total over per-record type sizes. A monoid:
+/// per-partition or per-shard accumulators Merge into exactly what one
+/// accumulator fed the whole stream would hold (totals add in merge order).
+struct SizeAccumulator {
+  size_t count = 0;
+  size_t min = 0;
+  size_t max = 0;
+  double total = 0;
+
+  void Add(size_t size) {
+    min = count == 0 ? size : std::min(min, size);
+    max = std::max(max, size);
+    total += static_cast<double>(size);
+    ++count;
+  }
+
+  void Merge(const SizeAccumulator& other) {
+    if (other.count == 0) return;
+    min = count == 0 ? other.min : std::min(min, other.min);
+    max = std::max(max, other.max);
+    total += other.total;
+    count += other.count;
+  }
+
+  double avg() const {
+    return count ? total / static_cast<double>(count) : 0.0;
+  }
+};
 
 /// The full row of Tables 2-5 for one (dataset, size) cell.
 struct TableRow {

@@ -2,8 +2,9 @@
 //
 // The contract (core/schema_inferencer.h): with InferenceOptions::annotate
 // set, the serial path, the threaded value path, the chunk-parallel text
-// path and the DOM (direct_infer = false) path all produce EXACTLY the same
-// annotation tree and the same refined tagged unions — the annotation is a
+// path and the DOM oracle (json::ParseJsonLines, then InferFromValues) all
+// produce EXACTLY the same annotation tree and the same refined tagged
+// unions — the annotation is a
 // commutative-monoid fold, so Theorems 5.4/5.5 extend to it verbatim.
 // Checked over all four synthetic dataset generators, through degraded-mode
 // aborts (malformed lines must not pollute the accumulators, even lines
@@ -44,6 +45,17 @@ std::vector<json::ValueRef> GenerateValues(datagen::DatasetId id, size_t n) {
   values.reserve(n);
   for (size_t i = 0; i < n; ++i) values.push_back(gen->Generate(i));
   return values;
+}
+
+// The DOM oracle: read the text into values, then annotate through the
+// value pipeline on `threads` workers.
+Result<Schema> InferViaDom(std::string_view text,
+                           const InferenceOptions& options, size_t threads) {
+  auto values = json::ParseJsonLines(text, options.ingest);
+  if (!values.ok()) return values.status();
+  InferenceOptions dom = options;
+  dom.num_threads = threads;
+  return SchemaInferencer(dom).TryInferFromValues(values.value());
 }
 
 const datagen::DatasetId kCorpora[] = {
@@ -89,6 +101,18 @@ TEST(AnnotationPipelineTest, ValuePathSerialVsThreaded) {
   }
 }
 
+TEST(AnnotationPipelineTest, EmptyInputAnnotatesAtEveryThreadCount) {
+  for (size_t threads : {1, 4}) {
+    InferenceOptions opts;
+    opts.num_threads = threads;
+    opts.annotate = true;
+    Schema schema = SchemaInferencer(opts).InferFromValues({});
+    EXPECT_TRUE(schema.type->is_empty()) << "threads=" << threads;
+    ASSERT_NE(schema.annotation, nullptr) << "threads=" << threads;
+    EXPECT_EQ(schema.annotation->count, 0u);
+  }
+}
+
 TEST(AnnotationPipelineTest, TextPathSerialVsChunkedVsDom) {
   for (datagen::DatasetId id : kCorpora) {
     std::string text = json::ToJsonLines(GenerateValues(id, 120));
@@ -110,13 +134,9 @@ TEST(AnnotationPipelineTest, TextPathSerialVsChunkedVsDom) {
                                 "chunked threads=" + std::to_string(threads));
     }
 
-    // DOM pipeline (parse then infer), serial and parallel.
+    // DOM oracle (parse then infer), serial and parallel.
     for (size_t threads : {1, 4}) {
-      InferenceOptions dom = serial;
-      dom.direct_infer = false;
-      dom.num_threads = threads;
-      dom.parallel_ingest_min_bytes = 0;
-      auto got = SchemaInferencer(dom).InferFromJsonLines(text);
+      auto got = InferViaDom(text, serial, threads);
       ASSERT_TRUE(got.ok()) << got.status().message();
       ExpectSameAnnotatedSchema(expected.value(), got.value(),
                                 "dom threads=" + std::to_string(threads));
@@ -126,7 +146,7 @@ TEST(AnnotationPipelineTest, TextPathSerialVsChunkedVsDom) {
 
 TEST(AnnotationPipelineTest, MalformedLinesDoNotPolluteAccumulators) {
   // kSkip: the annotation must reflect only the well-formed lines, and must
-  // match across serial / chunked / DOM runs.
+  // match across serial / chunked runs and the DOM oracle.
   std::string text =
       "{\"type\":\"a\",\"x\":1}\n"
       "not json at all\n"
@@ -145,11 +165,11 @@ TEST(AnnotationPipelineTest, MalformedLinesDoNotPolluteAccumulators) {
   for (bool direct : {true, false}) {
     for (size_t threads : {1, 2, 4}) {
       InferenceOptions opts = serial;
-      opts.direct_infer = direct;
       opts.num_threads = threads;
       opts.parallel_ingest_min_bytes = 0;
       opts.chunks_per_thread = 2;
-      auto got = SchemaInferencer(opts).InferFromJsonLines(text);
+      auto got = direct ? SchemaInferencer(opts).InferFromJsonLines(text)
+                        : InferViaDom(text, serial, threads);
       ASSERT_TRUE(got.ok()) << got.status().message();
       ExpectSameAnnotatedSchema(expected.value(), got.value(),
                                 std::string("direct=") +

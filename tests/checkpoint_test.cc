@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -26,6 +28,9 @@
 #include "datagen/generator.h"
 #include "json/serializer.h"
 #include "repository/schema_repository.h"
+#include "support/hash.h"
+#include "types/type.h"
+#include "types/type_parser.h"
 
 namespace jsonsi::core {
 namespace {
@@ -393,12 +398,114 @@ TEST_F(CheckpointFileTest, CrashBeforeRenameLeavesPreviousCheckpointIntact) {
   EXPECT_EQ(loaded.record_count(), 1u);
 }
 
-TEST(CheckpointTest, ProfilingStreamsRefuseToCheckpoint) {
-  StreamingOptions opts;
-  opts.profile = true;
-  StreamingInferencer stream(opts);
-  ASSERT_TRUE(stream.AddJson("{\"a\":1}").ok());
-  EXPECT_FALSE(SerializeCheckpoint(stream).ok());
+// Checkpoints from older writers carry two keys the current format no
+// longer writes: `direct_infer` (the removed DOM/direct text-path switch)
+// and `skip_malformed` (the old boolean spelling of kSkip). Both must keep
+// restoring, and the restored stream must resume exactly.
+TEST(CheckpointTest, CommittedLegacyCheckpointRestoresAndResumes) {
+  // 50 GitHub records (datagen seed 42), written by an older writer.
+  std::ifstream in(std::string(JSONSI_FUZZ_CORPUS_DIR) +
+                       "/checkpoint/seed_valid",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string legacy = buf.str();
+  ASSERT_NE(legacy.find("\ndirect_infer 1\n"), std::string::npos);
+  ASSERT_NE(legacy.find("\nskip_malformed 0\n"), std::string::npos);
+
+  StreamingInferencer resumed;
+  Status restored = RestoreCheckpoint(legacy, &resumed);
+  ASSERT_TRUE(restored.ok()) << restored;
+  EXPECT_EQ(resumed.options().on_malformed, json::MalformedLinePolicy::kFail);
+  const std::string text = DatagenJsonl(datagen::DatasetId::kGitHub, 80, 42);
+  ASSERT_EQ(resumed.ingest_stats().bytes_consumed, LineBoundaries(text)[50]);
+  ASSERT_TRUE(resumed
+                  .AddJsonLines(std::string_view(text).substr(
+                      resumed.ingest_stats().bytes_consumed))
+                  .ok());
+
+  StreamingInferencer uninterrupted;
+  ASSERT_TRUE(uninterrupted.AddJsonLines(text).ok());
+  ExpectSameState(uninterrupted, resumed);
+}
+
+// A hand-written older-format checkpoint of one record `{"a":1}`, with
+// `skip_malformed 1` and the given on_malformed value.
+std::string LegacySkipCheckpoint(int on_malformed) {
+  const types::TypeRef a_num = types::ParseType("{a: Num}").value();
+  auto hex = [](uint64_t v) {
+    char out[17];
+    std::snprintf(out, sizeof(out), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return std::string(out, 16);
+  };
+  std::string text =
+      "jsonsi-checkpoint 1\n"
+      "count_distinct_types 1\n"
+      "direct_infer 0\n"
+      "skip_malformed 1\n"
+      "on_malformed " + std::to_string(on_malformed) + "\n"
+      "max_error_rate 3fe0000000000000\n"  // 0.5
+      "min_lines_for_rate 1\n"
+      "max_recorded_errors 8\n"
+      "max_depth 512\n"
+      "max_document_bytes 0\n"
+      "soft_memory_limit_bytes 0\n"
+      "lines_read 1\n"
+      "blank_lines 0\n"
+      "records 1\n"
+      "malformed_lines 0\n"
+      "bytes_read 8\n"
+      "bytes_consumed 8\n"
+      "record_count 1\n"
+      "min_type_size " + std::to_string(a_num->size()) + "\n"
+      "max_type_size " + std::to_string(a_num->size()) + "\n"
+      "total_type_size " +
+      hex(std::bit_cast<uint64_t>(static_cast<double>(a_num->size()))) +
+      "\n"
+      "memory_degraded 0\n"
+      "hash " + hex(a_num->hash()) + "\n"
+      "fuser_count 1\n"
+      "slot 0 {a: Num}\n"
+      "end\n";
+  text += "checksum " + hex(HashBytes(text)) + "\n";
+  return text;
+}
+
+TEST(CheckpointTest, LegacySkipMalformedKeyMeansSkipPolicy) {
+  StreamingInferencer resumed;
+  Status restored =
+      RestoreCheckpoint(LegacySkipCheckpoint(/*kFail=*/0), &resumed);
+  ASSERT_TRUE(restored.ok()) << restored;
+  EXPECT_EQ(resumed.options().on_malformed, json::MalformedLinePolicy::kSkip);
+  EXPECT_EQ(resumed.record_count(), 1u);
+
+  // Resume past a malformed line: skipped, as the legacy switch asked.
+  ASSERT_TRUE(resumed.AddJsonLines("not json\n{\"a\":2}\n").ok());
+  EXPECT_EQ(resumed.record_count(), 2u);
+  EXPECT_EQ(resumed.malformed_count(), 1u);
+  EXPECT_EQ(resumed.ingest_stats().errors.at(0).line_number, 2u);
+  Schema snapshot = resumed.Snapshot();
+  EXPECT_TRUE(snapshot.type->Equals(*types::ParseType("{a: Num}").value()));
+  EXPECT_EQ(snapshot.stats.distinct_type_count, 1u);
+
+  // Saved again in the current format: no legacy keys, same policy.
+  auto again = SerializeCheckpoint(resumed);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again.value().find("skip_malformed"), std::string::npos);
+  EXPECT_EQ(again.value().find("direct_infer"), std::string::npos);
+  StreamingInferencer twice;
+  ASSERT_TRUE(RestoreCheckpoint(again.value(), &twice).ok());
+  EXPECT_EQ(twice.options().on_malformed, json::MalformedLinePolicy::kSkip);
+
+  // An explicit non-default policy wins over the legacy switch.
+  StreamingInferencer rate;
+  ASSERT_TRUE(RestoreCheckpoint(LegacySkipCheckpoint(/*kFailAboveRate=*/2),
+                                &rate)
+                  .ok());
+  EXPECT_EQ(rate.options().on_malformed,
+            json::MalformedLinePolicy::kFailAboveRate);
 }
 
 // Satellite: a resumed run is indistinguishable downstream — registering

@@ -2,11 +2,12 @@
 // (inference/direct_infer.h): DirectInferType must be observationally
 // equivalent to the composed pipeline InferType(*Parse(text)) — same types
 // (TypeEquals), and on malformed input the *same Status*, message and
-// position byte-for-byte. The suite drives both paths over the datagen
-// corpora, an adversarial gallery, every truncation of a nested document,
-// all malformed-line policies through SchemaInferencer, the chunk-parallel
-// path, the streaming inferencer, and the infer.direct.* telemetry
-// contract (default path never materializes a json::Value).
+// position byte-for-byte. The suite drives both over the datagen corpora,
+// an adversarial gallery, and every truncation of a nested document. The
+// text pipelines (SchemaInferencer under every malformed-line policy, the
+// chunk-parallel path, the streaming inferencer) are held to the oracle
+// json::ParseJsonLines + serial InferFromValues, and the infer.direct.*
+// telemetry contract checks they never materialize a json::Value.
 
 #include <cstddef>
 #include <string>
@@ -21,6 +22,7 @@
 #include "datagen/generator.h"
 #include "inference/direct_infer.h"
 #include "inference/infer.h"
+#include "json/jsonl.h"
 #include "json/parser.h"
 #include "json/serializer.h"
 #include "telemetry/telemetry.h"
@@ -202,7 +204,8 @@ TEST(DirectInferTest, RejectedDocumentLeavesAccumulatorUntouched) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline-level equivalence: SchemaInferencer with direct_infer on vs off.
+// Pipeline-level equivalence against the oracle: json::ParseJsonLines, then
+// the serial InferFromValues.
 
 std::string DirtyJsonl() {
   std::string text = "\xEF\xBB\xBF";  // BOM on the first line
@@ -233,6 +236,25 @@ void ExpectIngestStatsEq(const json::IngestStats& a,
   }
 }
 
+// The oracle pipeline: DOM read of the whole text, then serial inference.
+struct OracleRun {
+  Result<core::Schema> schema = Status::Internal("not run");
+  json::IngestStats stats;
+};
+
+OracleRun RunOracle(std::string_view text, const json::IngestOptions& ingest) {
+  OracleRun run;
+  auto values = json::ParseJsonLines(text, ingest, &run.stats);
+  if (!values.ok()) {
+    run.schema = values.status();
+    return run;
+  }
+  InferenceOptions serial;
+  serial.num_threads = 1;
+  run.schema = SchemaInferencer(serial).InferFromValues(values.value());
+  return run;
+}
+
 TEST(DirectInferPipelineTest, PolicyDifferentialAgainstDomPath) {
   const std::string text = DirtyJsonl();
   for (auto policy : {MalformedLinePolicy::kFail, MalformedLinePolicy::kSkip,
@@ -243,32 +265,22 @@ TEST(DirectInferPipelineTest, PolicyDifferentialAgainstDomPath) {
       direct_opts.ingest.on_malformed = policy;
       direct_opts.ingest.max_error_rate = rate;
       direct_opts.ingest.min_lines_for_rate = 4;
-      InferenceOptions dom_opts = direct_opts;
-      dom_opts.direct_infer = false;
 
-      json::IngestStats direct_stats, dom_stats;
+      json::IngestStats direct_stats;
       auto direct = SchemaInferencer(direct_opts)
                         .InferFromJsonLines(text, &direct_stats);
-      auto dom =
-          SchemaInferencer(dom_opts).InferFromJsonLines(text, &dom_stats);
+      OracleRun dom = RunOracle(text, direct_opts.ingest);
 
-      ASSERT_EQ(direct.ok(), dom.ok())
+      ASSERT_EQ(direct.ok(), dom.schema.ok())
           << "policy=" << static_cast<int>(policy) << " rate=" << rate;
-      ExpectIngestStatsEq(direct_stats, dom_stats);
+      ExpectIngestStatsEq(direct_stats, dom.stats);
       if (direct.ok()) {
-        EXPECT_TRUE(types::TypeEquals(direct.value().type, dom.value().type));
+        EXPECT_TRUE(types::TypeEquals(direct.value().type,
+                                      dom.schema.value().type));
         EXPECT_EQ(direct.value().stats.record_count,
-                  dom.value().stats.record_count);
-        // Mode accounting: each pipeline attributes every record to its
-        // own ingestion path.
-        EXPECT_EQ(direct.value().stats.direct_records,
-                  direct.value().stats.record_count);
-        EXPECT_EQ(direct.value().stats.dom_records, 0u);
-        EXPECT_EQ(dom.value().stats.dom_records,
-                  dom.value().stats.record_count);
-        EXPECT_EQ(dom.value().stats.direct_records, 0u);
+                  dom.schema.value().stats.record_count);
       } else {
-        EXPECT_EQ(direct.status(), dom.status());
+        EXPECT_EQ(direct.status(), dom.schema.status());
       }
     }
   }
@@ -298,7 +310,7 @@ TEST(DirectInferPipelineTest, ParallelSchemaIdenticalToSerial) {
         << "threads=" << threads;
     EXPECT_EQ(schema.value().stats.record_count,
               base.value().stats.record_count);
-    EXPECT_EQ(schema.value().stats.direct_records, values.size());
+    EXPECT_EQ(schema.value().stats.record_count, values.size());
   }
 }
 
@@ -338,15 +350,6 @@ TEST_F(DirectInferTelemetryTest, DefaultPathBypassesDomForEveryRecord) {
   EXPECT_EQ(snap.CounterValue("infer.direct.errors"), 0u);
   EXPECT_EQ(snap.CounterValue("parse.calls"), 0u)
       << "direct path must not invoke the DOM parser";
-
-  // The DOM fallback, by contrast, parses every record.
-  telemetry::MetricsRegistry::Global().ResetAll();
-  options.direct_infer = false;
-  schema = SchemaInferencer(options).InferFromJsonLines(text);
-  ASSERT_TRUE(schema.ok()) << schema.status().message();
-  snap = telemetry::MetricsRegistry::Global().Snapshot();
-  EXPECT_EQ(snap.CounterValue("parse.calls"), kRecords);
-  EXPECT_EQ(snap.CounterValue("infer.direct.records"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -356,20 +359,22 @@ TEST(DirectInferStreamingTest, StreamingDirectMatchesDomSnapshot) {
   const std::string text = DirtyJsonl();
   StreamingOptions direct_opts;
   direct_opts.on_malformed = MalformedLinePolicy::kSkip;
-  StreamingOptions dom_opts = direct_opts;
-  dom_opts.direct_infer = false;
 
-  StreamingInferencer direct(direct_opts), dom(dom_opts);
+  StreamingInferencer direct(direct_opts);
   ASSERT_TRUE(direct.AddJsonLines(text).ok());
-  ASSERT_TRUE(dom.AddJsonLines(text).ok());
-  // Feed a second batch to exercise cumulative stats on the direct arm.
+  // Feed a second batch to exercise cumulative stats across batches; the
+  // oracle reads the two batches as one concatenated stream.
   ASSERT_TRUE(direct.AddJsonLines(text).ok());
-  ASSERT_TRUE(dom.AddJsonLines(text).ok());
+  json::IngestOptions ingest;
+  ingest.on_malformed = MalformedLinePolicy::kSkip;
+  OracleRun dom = RunOracle(text + text, ingest);
+  ASSERT_TRUE(dom.schema.ok()) << dom.schema.status();
 
-  EXPECT_EQ(direct.record_count(), dom.record_count());
-  EXPECT_EQ(direct.malformed_count(), dom.malformed_count());
-  ExpectIngestStatsEq(direct.ingest_stats(), dom.ingest_stats());
-  EXPECT_TRUE(types::TypeEquals(direct.Snapshot().type, dom.Snapshot().type));
+  EXPECT_EQ(direct.record_count(), dom.schema.value().stats.record_count);
+  EXPECT_EQ(direct.malformed_count(), dom.stats.malformed_lines);
+  ExpectIngestStatsEq(direct.ingest_stats(), dom.stats);
+  EXPECT_TRUE(
+      types::TypeEquals(direct.Snapshot().type, dom.schema.value().type));
 }
 
 TEST(DirectInferStreamingTest, StreamingParallelMatchesSerial) {
@@ -388,26 +393,6 @@ TEST(DirectInferStreamingTest, StreamingParallelMatchesSerial) {
   EXPECT_TRUE(
       types::TypeEquals(serial.Snapshot().type, parallel.Snapshot().type));
   ExpectIngestStatsEq(serial.ingest_stats(), parallel.ingest_stats());
-}
-
-TEST(DirectInferStreamingTest, ProfilerForcesDomPathAndStaysExact) {
-  std::string text;
-  auto values = datagen::MakeGenerator(datagen::DatasetId::kGitHub, 21)
-                    ->GenerateMany(30);
-  for (const auto& v : values) {
-    text += json::ToJson(v);
-    text += '\n';
-  }
-
-  StreamingOptions profiled;
-  profiled.profile = true;  // direct_infer stays true but must be ignored
-  StreamingInferencer with_profile(profiled), plain;
-  ASSERT_TRUE(with_profile.AddJsonLines(text).ok());
-  ASSERT_TRUE(plain.AddJsonLines(text).ok());
-  ASSERT_NE(with_profile.profiler(), nullptr);
-  EXPECT_EQ(with_profile.record_count(), plain.record_count());
-  EXPECT_TRUE(types::TypeEquals(with_profile.Snapshot().type,
-                                plain.Snapshot().type));
 }
 
 }  // namespace

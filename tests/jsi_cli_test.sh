@@ -66,18 +66,33 @@ if "$JSI" infer "$TMP/gh.jsonl" --checkpoint "$TMP/cp_torn.txt" --resume \
   echo "expected resume from torn checkpoint to fail"; exit 1
 fi
 # budget flags: oversize lines are rejected under the strict policy and
-# skipped under --skip-malformed, identically on the DOM path.
+# skipped under --skip-malformed, identically chunk-parallel over a stream.
 if "$JSI" infer "$TMP/gh.jsonl" --max-line-bytes 64 > /dev/null 2>&1; then
   echo "expected --max-line-bytes 64 to fail on github records"; exit 1
 fi
 "$JSI" infer "$TMP/gh.jsonl" --max-line-bytes 64 --skip-malformed \
   > "$TMP/budget_direct.txt" 2> /dev/null
-"$JSI" infer "$TMP/gh.jsonl" --max-line-bytes 64 --skip-malformed --no-direct \
-  > "$TMP/budget_dom.txt" 2> /dev/null
-cmp "$TMP/budget_direct.txt" "$TMP/budget_dom.txt"
+"$JSI" infer "$TMP/gh.jsonl" --max-line-bytes 64 --skip-malformed \
+  --threads 4 --io stream > "$TMP/budget_par.txt" 2> /dev/null
+cmp "$TMP/budget_direct.txt" "$TMP/budget_par.txt"
 if "$JSI" infer "$TMP/gh.jsonl" --max-depth 2 > /dev/null 2>&1; then
   echo "expected --max-depth 2 to fail on nested records"; exit 1
 fi
+
+# leftover arguments are usage errors (exit 1), not silently ignored: an
+# unknown or removed flag, a misspelt flag with its value, a second input.
+expect_usage_error() {
+  set +e
+  "$JSI" infer "$@" > /dev/null 2>&1
+  rc=$?
+  set -e
+  if [ "$rc" != 1 ]; then
+    echo "expected usage error (exit 1) from: infer $*, got $rc"; exit 1
+  fi
+}
+expect_usage_error "$TMP/gh.jsonl" --no-direct
+expect_usage_error "$TMP/gh.jsonl" --thread 4
+expect_usage_error "$TMP/gh.jsonl" "$TMP/gh_head.jsonl"
 
 # annotation: --annotate reports refinements, exports enriched JSON Schema,
 # and produces identical output serial vs parallel.

@@ -1,10 +1,12 @@
-// Tests for chunked JSON-Lines ingestion (json/jsonl_chunk.h).
+// Tests for chunked JSON-Lines ingestion (json/jsonl_chunk.h, with the
+// chunk worker inference::InferJsonLinesChunk).
 //
 // The load-bearing property is *serial equivalence*: for any buffer, any
-// chunk count, and any MalformedLinePolicy, the split/parse/replay pipeline
-// must return the same status, the same values, and the same IngestStats —
-// byte offsets, line numbers, recorded errors — as one serial ParseJsonLines
-// over the whole buffer. The differential harness below checks exactly that
+// chunk count, and any MalformedLinePolicy, the split/type/replay pipeline
+// must return the same status, the same IngestStats — byte offsets, line
+// numbers, recorded errors — as one serial DOM read (ReadJsonLines) of the
+// whole buffer, and keep exactly the types InferType gives the values that
+// read delivers. The differential harness below checks exactly that
 // over a gallery of adversarial inputs (CRLF pairs straddling chunk
 // boundaries, BOM, blank runs, malformed lines at boundaries, no trailing
 // newline) crossed with every policy and chunk counts 1..8.
@@ -14,11 +16,34 @@
 #include <string>
 #include <vector>
 
+#include "inference/direct_infer.h"
+#include "inference/infer.h"
 #include "json/jsonl.h"
 #include "json/jsonl_chunk.h"
+#include "types/type.h"
 
 namespace jsonsi::json {
 namespace {
+
+using inference::InferJsonLinesChunk;
+using inference::ReplayChunkPolicy;
+using inference::TakeIncludedTypes;
+using inference::TypedChunkOutcome;
+
+// Types every chunk of `text` as cut by SplitJsonLines(text, max_chunks).
+std::vector<TypedChunkOutcome> InferChunks(std::string_view text,
+                                           size_t max_chunks,
+                                           const IngestOptions& options) {
+  auto spans = SplitJsonLines(text, max_chunks);
+  std::vector<TypedChunkOutcome> outcomes;
+  outcomes.reserve(spans.size());
+  for (size_t i = 0; i < spans.size(); ++i) {
+    outcomes.push_back(InferJsonLinesChunk(
+        text.substr(spans[i].begin, spans[i].size()), options.parse,
+        options.max_recorded_errors, i == 0));
+  }
+  return outcomes;
+}
 
 // ---------------------------------------------------------------- splitter
 
@@ -110,7 +135,7 @@ void ExpectSameStats(const IngestStats& serial, const IngestStats& chunked) {
 
 // Runs the chunked pipeline and the serial reader over `text` and asserts
 // they are indistinguishable: status (including message), stats, and the
-// delivered values.
+// kept types (InferType of each delivered value).
 void ExpectChunkedMatchesSerial(std::string_view text, size_t max_chunks,
                                 const IngestOptions& options) {
   IngestStats serial_stats;
@@ -123,14 +148,8 @@ void ExpectChunkedMatchesSerial(std::string_view text, size_t max_chunks,
       },
       options, &serial_stats);
 
-  auto spans = SplitJsonLines(text, max_chunks);
-  std::vector<ChunkOutcome> outcomes;
-  outcomes.reserve(spans.size());
-  for (size_t i = 0; i < spans.size(); ++i) {
-    outcomes.push_back(ParseJsonLinesChunk(
-        text.substr(spans[i].begin, spans[i].size()), options.parse,
-        options.max_recorded_errors, i == 0));
-  }
+  std::vector<TypedChunkOutcome> outcomes =
+      InferChunks(text, max_chunks, options);
   IngestStats chunk_stats;
   ChunkReplay replay = ReplayChunkPolicy(outcomes, options, &chunk_stats);
 
@@ -138,11 +157,13 @@ void ExpectChunkedMatchesSerial(std::string_view text, size_t max_chunks,
   EXPECT_EQ(serial_status.ToString(), replay.status.ToString());
   ExpectSameStats(serial_stats, chunk_stats);
 
-  std::vector<ValueRef> chunk_values =
-      TakeIncludedValues(std::move(outcomes), replay);
-  ASSERT_EQ(serial_values.size(), chunk_values.size());
+  std::vector<types::TypeRef> chunk_types =
+      TakeIncludedTypes(std::move(outcomes), replay);
+  ASSERT_EQ(serial_values.size(), chunk_types.size());
   for (size_t i = 0; i < serial_values.size(); ++i) {
-    EXPECT_TRUE(serial_values[i]->Equals(*chunk_values[i])) << "value " << i;
+    EXPECT_TRUE(types::TypeEquals(inference::InferType(*serial_values[i]),
+                                  chunk_types[i]))
+        << "record " << i;
   }
 }
 
@@ -241,20 +262,14 @@ TEST(ChunkedIngestDifferentialTest, RateBaselineFromEarlierStream) {
 TEST(ChunkedIngestTest, KFailMessageMatchesSerialLineNumber) {
   const std::string text = "1\n2\n3\n4\nboom\n5\n";
   IngestOptions o;  // kFail
-  auto spans = SplitJsonLines(text, 3);
-  std::vector<ChunkOutcome> outcomes;
-  for (size_t i = 0; i < spans.size(); ++i) {
-    outcomes.push_back(ParseJsonLinesChunk(
-        std::string_view(text).substr(spans[i].begin, spans[i].size()),
-        o.parse, o.max_recorded_errors, i == 0));
-  }
+  std::vector<TypedChunkOutcome> outcomes = InferChunks(text, 3, o);
   IngestStats stats;
   ChunkReplay replay = ReplayChunkPolicy(outcomes, o, &stats);
   ASSERT_FALSE(replay.status.ok());
   EXPECT_NE(replay.status.message().find("line 5"), std::string::npos)
       << replay.status;
   EXPECT_EQ(stats.records, 4u);
-  EXPECT_EQ(TakeIncludedValues(std::move(outcomes), replay).size(), 4u);
+  EXPECT_EQ(TakeIncludedTypes(std::move(outcomes), replay).size(), 4u);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // 5.4/5.5). Checked here over all four synthetic dataset generators, through
 // both the value-level and the text-level (chunk-parallel ingestion) entry
 // points, including degraded-mode aborts, plus the streaming inferencer's
-// parallel feed with profiling enabled.
+// parallel feed.
 
 #include <gtest/gtest.h>
 
@@ -207,9 +207,8 @@ TEST(ParallelPipelineTest, SkipPolicyMatchesSerialOnDirtyInput) {
 
 // ------------------------------------------------------ streaming parallel
 
-TEST(StreamingParallelTest, MatchesSerialFeedIncludingProfiler) {
+TEST(StreamingParallelTest, MatchesSerialFeed) {
   StreamingOptions o;
-  o.profile = true;
   std::string batch1 = json::ToJsonLines(
       GenerateValues(datagen::DatasetId::kGitHub, 80));
   std::string batch2 = json::ToJsonLines(
@@ -229,11 +228,6 @@ TEST(StreamingParallelTest, MatchesSerialFeedIncludingProfiler) {
   EXPECT_EQ(ss.stats.min_type_size, ps.stats.min_type_size);
   EXPECT_EQ(ss.stats.max_type_size, ps.stats.max_type_size);
   EXPECT_DOUBLE_EQ(ss.stats.avg_type_size, ps.stats.avg_type_size);
-  // Profiling provenance uses global record ordinals in both paths, so the
-  // rendered profiles are textually identical.
-  ASSERT_TRUE(serial.profiler() && parallel.profiler());
-  EXPECT_EQ(serial.profiler()->ToString(true),
-            parallel.profiler()->ToString(true));
   // Ingestion reports agree too.
   EXPECT_EQ(serial.ingest_stats().lines_read,
             parallel.ingest_stats().lines_read);

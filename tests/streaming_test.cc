@@ -75,7 +75,7 @@ TEST(StreamingTest, MalformedFailsByDefault) {
 
 TEST(StreamingTest, SkipMalformedCountsAndContinues) {
   StreamingOptions opts;
-  opts.skip_malformed = true;
+  opts.on_malformed = json::MalformedLinePolicy::kSkip;
   StreamingInferencer streaming(opts);
   ASSERT_TRUE(streaming.AddJsonLines("{\"a\":1}\nbad line\n{\"a\":2}\n").ok());
   EXPECT_EQ(streaming.record_count(), 2u);
@@ -216,23 +216,6 @@ TEST(StreamingTest, IngestionContinuesAfterMerge) {
   a.Merge(b);
   ASSERT_TRUE(a.AddJson(R"({"z": true})").ok());
   EXPECT_TRUE(a.Snapshot().type->Equals(*T("{x: Num?, y: Str?, z: Bool?}")));
-}
-
-TEST(StreamingTest, ProfilerOptional) {
-  StreamingInferencer plain;
-  EXPECT_EQ(plain.profiler(), nullptr);
-
-  StreamingOptions opts;
-  opts.profile = true;
-  StreamingInferencer profiled(opts);
-  ASSERT_TRUE(profiled.AddJson(R"({"a": 1})").ok());
-  ASSERT_TRUE(profiled.AddJson(R"({"a": "s", "b": null})").ok());
-  ASSERT_NE(profiled.profiler(), nullptr);
-  EXPECT_EQ(profiled.profiler()->record_count(), 2u);
-  // The profile projection agrees with the snapshot schema (both streams of
-  // the same records; snapshot may keep exact arrays, none here).
-  EXPECT_TRUE(
-      profiled.profiler()->ToType()->Equals(*profiled.Snapshot().type));
 }
 
 TEST(StreamingTest, DistinctCountingCanBeDisabled) {

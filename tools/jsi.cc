@@ -4,7 +4,7 @@
 //   jsi infer <file.jsonl | ->  [--pretty] [--stats] [--annotate]
 //             [--threads N]
 //             [--partitions N] [--skip-malformed] [--max-error-rate R]
-//             [--no-direct] [--max-depth N] [--max-line-bytes N]
+//             [--max-depth N] [--max-line-bytes N]
 //             [--checkpoint F [--checkpoint-every N] [--resume]]
 //             [--memory-watermark-mb N]
 //             [--io auto|mmap|read|stream] [--read-ahead-mb N]
@@ -22,13 +22,12 @@
 //       degraded mode (bad lines are counted, reported on stderr, and
 //       skipped); --max-error-rate R skips bad lines only while they stay
 //       within a fraction R of the input, failing otherwise. Ingestion is
-//       DOM-free by default (parse and Map fused into one pass over the
-//       text); --no-direct restores the parse-then-infer pipeline for
-//       A/B comparison.
+//       DOM-free (parse and Map fused into one pass over the text).
+//       Unknown flags and a second input are usage errors.
 //       Resource budgets (docs/robustness.md): --max-depth caps nesting
 //       (default 512) and --max-line-bytes caps per-line size; a document
-//       over budget is a malformed line under the active policy, with
-//       identical errors on the DOM and direct paths. --memory-watermark-mb
+//       over budget is a malformed line under the active policy, with the
+//       same error json::Parse reports. --memory-watermark-mb
 //       soft-caps the resident auxiliary state (checkpointed runs only).
 //       Durability: --checkpoint F streams the input and atomically saves
 //       the full inference state to F every --checkpoint-every lines
@@ -162,7 +161,7 @@ int Usage() {
       "  jsi infer <file.jsonl | -> [--pretty] [--stats] [--annotate]\n"
       "            [--threads N]\n"
       "            [--partitions N] [--skip-malformed] [--max-error-rate R]\n"
-      "            [--no-direct] [--max-depth N] [--max-line-bytes N]\n"
+      "            [--max-depth N] [--max-line-bytes N]\n"
       "            [--checkpoint F [--checkpoint-every N] [--resume]]\n"
       "            [--memory-watermark-mb N]\n"
       "            [--io auto|mmap|read|stream] [--read-ahead-mb N]\n"
@@ -247,21 +246,11 @@ int BadFlagValue(const std::string& flag, const std::string& value) {
 // --stats report shared by the batch and checkpointed-streaming infer paths.
 void PrintInferStats(const Schema& schema, size_t threads) {
   const auto& s = schema.stats;
-  // Ingestion-mode row: which pipeline typed the records, so A/B runs
-  // (--no-direct vs default) are self-describing.
-  const char* mode = s.direct_records > 0
-                         ? (s.dom_records > 0 ? "mixed" : "direct")
-                         : (s.dom_records > 0 ? "dom" : "direct");
   std::cerr << "threads:        " << threads << "\n"
             << "simd:           "
             << jsonsi::json::simd::KernelName(
                    jsonsi::json::simd::ActiveKernel())
             << "\n"
-            << "ingestion:      " << mode << " (direct "
-            << jsonsi::WithThousands(static_cast<int64_t>(s.direct_records))
-            << " / dom "
-            << jsonsi::WithThousands(static_cast<int64_t>(s.dom_records))
-            << ")\n"
             << "records:        "
             << jsonsi::WithThousands(static_cast<int64_t>(s.record_count))
             << "\n"
@@ -314,7 +303,6 @@ int RunInferCheckpointed(jsonsi::io::InputSource& source,
   sopts.max_error_rate = options.ingest.max_error_rate;
   sopts.min_lines_for_rate = options.ingest.min_lines_for_rate;
   sopts.max_recorded_errors = options.ingest.max_recorded_errors;
-  sopts.direct_infer = options.direct_infer;
   sopts.soft_memory_limit_bytes = watermark_mb * (1ull << 20);
   jsonsi::core::StreamingInferencer stream(sopts);
   uint64_t pos = 0;
@@ -443,11 +431,6 @@ int RunInfer(std::vector<std::string> args) {
       return BadFlagValue("--partitions", *p);
     }
   }
-  if (Flag(args, "--no-direct")) {
-    // Escape hatch for A/B runs: parse into a DOM, then infer, instead of
-    // the default fused DOM-free pass.
-    options.direct_infer = false;
-  }
   if (Flag(args, "--skip-malformed")) {
     options.ingest.on_malformed = jsonsi::json::MalformedLinePolicy::kSkip;
   }
@@ -460,8 +443,8 @@ int RunInfer(std::vector<std::string> args) {
       return BadFlagValue("--max-error-rate", *r);
     }
   }
-  // Parser budgets apply to every ingestion path (DOM, direct, serial,
-  // chunk-parallel) through ParseOptions; over-budget documents are
+  // Parser budgets apply to every ingestion path (serial, chunk-parallel,
+  // streamed, checkpointed) through ParseOptions; over-budget documents are
   // malformed lines under the active policy.
   if (auto d = FlagValue(args, "--max-depth")) {
     try {
@@ -524,7 +507,20 @@ int RunInfer(std::vector<std::string> args) {
                  "run without a checkpoint to collect annotations\n";
     return Usage();
   }
+  // Every known flag is consumed by now. What is left must be exactly one
+  // input: a leftover `--flag` (a typo, or a flag this version does not
+  // have) or a second input is a usage error, never silently ignored.
   if (args.empty()) return Usage();
+  for (const std::string& arg : args) {
+    if (arg.size() > 1 && arg[0] == '-') {
+      std::cerr << "jsi: unknown infer flag '" << arg << "'\n";
+      return Usage();
+    }
+  }
+  if (args.size() > 1) {
+    std::cerr << "jsi: infer takes one input, got " << args.size() << "\n";
+    return Usage();
+  }
   // The input source (mmap / pread / stdin pipe, per --io) replaces the old
   // whole-file slurp: mapped files take the zero-copy chunk-parallel path,
   // everything else pumps bounded batches, so files larger than RAM infer

@@ -6,9 +6,22 @@
 // and occupancy observed during its timed region via state.counters; the
 // custom main additionally publishes final table stats through telemetry so
 // JSI_BENCH_JSON=<dir> emits BENCH_interning.json.
+//
+// After the google-benchmark rows, main prints one parallel-scaling row:
+// typing (DirectInferType) + folding (TreeFuser) a Wikidata corpus, one
+// quarter on each of 4 threads against all four quarters on one thread,
+// as the ratio of per-quarter wall times. 1.00 means the workers scale like
+// shared-nothing partials; above that is cross-core traffic on shared type
+// nodes and tables (or a busy host). It is exported as the gauge
+// bench.interning.parallel_ratio in percent (100 = 1.00), recorded and not
+// gated.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -16,7 +29,10 @@
 #include "fusion/fuse.h"
 #include "fusion/fuse_cache.h"
 #include "fusion/tree_fuser.h"
+#include "inference/direct_infer.h"
 #include "inference/infer.h"
+#include "support/timer.h"
+#include "telemetry/metrics.h"
 #include "types/interner.h"
 
 namespace {
@@ -185,6 +201,61 @@ void BM_InferInterned(benchmark::State& state) {
 }
 BENCHMARK(BM_InferInterned)->DenseRange(0, 3)->Name("Infer/interned/dataset");
 
+// Cold-table wall time of typing + folding `quarters` on `threads` threads
+// (thread w takes quarters w, w + threads, ...).
+double TypeFoldSeconds(const std::vector<std::vector<std::string>>& quarters,
+                       size_t threads) {
+  TypeInterner::Global().Clear();
+  FuseCache::Global().Clear();
+  Stopwatch watch;
+  std::vector<std::thread> workers;
+  for (size_t w = 0; w < threads; ++w) {
+    workers.emplace_back([&quarters, threads, w] {
+      for (size_t q = w; q < quarters.size(); q += threads) {
+        fusion::TreeFuser fuser;
+        for (const std::string& line : quarters[q]) {
+          fuser.Add(inference::DirectInferType(line).value());
+        }
+        benchmark::DoNotOptimize(fuser.Finish());
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  return watch.ElapsedSeconds();
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+void ReportParallelRatio() {
+  constexpr size_t kThreads = 4;
+  const bool quick = bench::BenchQuick();
+  const size_t records = quick ? 400 : 2000;
+  const size_t reps = quick ? 3 : 9;
+  std::vector<std::vector<std::string>> quarters(kThreads);
+  auto values = SampleValues(datagen::DatasetId::kWikidata, records);
+  for (size_t i = 0; i < values.size(); ++i) {
+    quarters[i * kThreads / values.size()].push_back(json::ToJson(*values[i]));
+  }
+  ScopedInterning on(true);
+  std::vector<double> one, four;
+  for (size_t r = 0; r < reps; ++r) {  // interleaved against host drift
+    one.push_back(TypeFoldSeconds(quarters, 1) / kThreads);
+    four.push_back(TypeFoldSeconds(quarters, kThreads));
+  }
+  const double ratio = Median(four) / Median(one);
+  std::printf(
+      "parallel[wikidata x%zu, type+fold, median of %zu]: 1 thread %.2f ms "
+      "per quarter, %zu threads %.2f ms, ratio %.2f (1.00 = "
+      "shared-nothing)\n",
+      records, reps, Median(one) * 1e3, kThreads, Median(four) * 1e3, ratio);
+  telemetry::MetricsRegistry::Global()
+      .GetGauge("bench.interning.parallel_ratio")
+      .Set(std::llround(ratio * 100));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -199,5 +270,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   jsonsi::bench::PublishCacheTelemetry();
   jsonsi::bench::PrintCacheStats();
+  ReportParallelRatio();
   return 0;
 }

@@ -317,25 +317,15 @@ Result<Schema> SchemaInferencer::InferFromJsonLines(
         inference::ReplayChunkPolicy(outcomes, options_.ingest, out);
     if (!replay.status.ok()) return replay.status;
     if (annotation) {
-      // Fold the eager whole-chunk accumulators the replay kept in full,
-      // in index order. The chunk the replay aborted inside (if any) is
-      // re-scanned over just its included prefix — its eager fold saw
-      // excluded records and cannot be used.
+      // Fold the eager whole-chunk accumulators in index order. An OK
+      // replay keeps every chunk whole (it only stops mid-chunk together
+      // with a non-OK status, which returned above).
       size_t merges = 0;
       for (size_t c = 0; c < replay.full_chunks && c < outcomes.size(); ++c) {
         if (outcomes[c].annotation) {
           annotation->MergeFrom(*outcomes[c].annotation);
           ++merges;
         }
-      }
-      if (replay.partial_records > 0 && replay.full_chunks < outcomes.size()) {
-        const json::ChunkSpan& span = spans[replay.full_chunks];
-        inference::AnnotateChunkPrefix(text.substr(span.begin, span.size()),
-                                       options_.ingest.parse,
-                                       replay.full_chunks == 0,
-                                       replay.partial_records,
-                                       annotation.get());
-        ++merges;
       }
       if (telemetry::Enabled()) {
         JSONSI_COUNTER("annotate.chunk_merges").Add(merges);
@@ -386,9 +376,10 @@ Result<Schema> SchemaInferencer::InferFromSource(
     return InferFromJsonLines(*view, stats);
   }
   if (options_.annotate) {
-    // The annotation chunk merge re-scans aborted-chunk prefixes, which
-    // needs random access to the whole buffer: non-mapped sources are
-    // buffered first. File inputs normally map (kAuto) and never get here.
+    // The pump's StreamingInferencer keeps no annotation accumulator
+    // (ROADMAP item 3), so non-mapped sources are buffered whole and take
+    // the buffer pipeline. File inputs normally map (kAuto) and never get
+    // here.
     std::string text;
     std::vector<char> buf(options_.io.buffer_bytes);
     if (std::optional<uint64_t> size = source.SizeBytes()) {

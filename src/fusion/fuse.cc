@@ -125,30 +125,38 @@ TypeRef Fuser::Fuse(const TypeRef& a, const TypeRef& b) const {
     return a->is_empty() ? b : a;
   }
 
-  // Memoized path: canonicalize operands to their interned representatives
-  // (structurally equal, possibly the same node), then consult the memo
-  // keyed on node identity. Both layers preserve structural equality, so
-  // this branch is invisible apart from speed (differential-tested).
   if (!interning_active() && !memoization_active()) {
     return FuseUncached(a, b);
   }
-  TypeRef ai = a;
-  TypeRef bi = b;
+  // LFuse(B, B) = B. Basic nodes are immortal singletons, so identical basic
+  // operands are one pointer: answered before the interner and the memo.
+  if (a.get() == b.get() && a->is_basic()) return a;
+
+  // Memoized path: canonicalize operands to their interned representatives
+  // (structurally equal, possibly the same node), then consult the memo
+  // keyed on node identity. Operands already marked canonical (typed with
+  // interning on, or earlier fusion results) are used by reference, so
+  // neither the shard locks nor their reference counts are touched. Both
+  // layers preserve structural equality, so this branch is invisible apart
+  // from speed (differential-tested).
+  TypeRef interned[2];
+  const TypeRef* ai = &a;
+  const TypeRef* bi = &b;
   if (interning_active()) {
     types::TypeInterner& interner = types::TypeInterner::Global();
-    ai = interner.Intern(std::move(ai));
-    bi = interner.Intern(std::move(bi));
+    if (!a->canonical()) ai = &(interned[0] = interner.Intern(a));
+    if (!b->canonical()) bi = &(interned[1] = interner.Intern(b));
   }
   const uint64_t tag = static_cast<uint64_t>(options_.max_tuple_length);
   if (memoization_active()) {
-    if (TypeRef hit = FuseCache::Global().Lookup(ai, bi, tag)) return hit;
+    if (TypeRef hit = FuseCache::Global().Lookup(*ai, *bi, tag)) return hit;
   }
-  TypeRef result = FuseUncached(ai, bi);
-  if (interning_active()) {
+  TypeRef result = FuseUncached(*ai, *bi);
+  if (interning_active() && !result->canonical()) {
     result = types::TypeInterner::Global().Intern(std::move(result));
   }
   if (memoization_active()) {
-    FuseCache::Global().Insert(ai, bi, tag, result);
+    FuseCache::Global().Insert(*ai, *bi, tag, result);
   }
   return result;
 }

@@ -52,6 +52,17 @@
 // to the unoptimized path (differential suite in tests/interning_test.cc),
 // and it is disabled wholesale by `types::SetInterningEnabled(false)`
 // (`jsi --no-intern`) or per-instance via FuseOptions.
+//
+// Workers fuse concurrently against shared nodes, so the memoized path
+// avoids writing to them (types/type.h):
+//   * identical basic operands (one immortal singleton) answer
+//     LFuse(B, B) = B before the interner and the memo;
+//   * operands marked `Type::canonical()` are used by reference, not
+//     re-interned: no shard lock, no reference-count round trip. The mark
+//     means "was canonical once"; if the node has since been evicted, the
+//     memo (keyed on node identity) may miss where the new representative
+//     would hit, which costs time only, since Fuse is deterministic and its
+//     result is still interned.
 
 #ifndef JSONSI_FUSION_FUSE_H_
 #define JSONSI_FUSION_FUSE_H_

@@ -34,11 +34,11 @@ types::TypeRef FuseCache::Lookup(const types::TypeRef& a,
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.misses;
     JSONSI_COUNTER("fusecache.misses").Increment();
     return nullptr;
   }
-  hits_.fetch_add(1, std::memory_order_relaxed);
+  ++shard.hits;
   JSONSI_COUNTER("fusecache.hits").Increment();
   return it->second.result;
 }
@@ -56,7 +56,7 @@ void FuseCache::Insert(const types::TypeRef& a, const types::TypeRef& b,
       shard.map.find(key) == shard.map.end()) {
     // Memo eviction only ever costs a recomputation.
     shard.map.erase(shard.map.begin());
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.evictions;
     JSONSI_COUNTER("fusecache.evictions").Increment();
   }
   shard.map.insert_or_assign(key, std::move(entry));
@@ -64,11 +64,11 @@ void FuseCache::Insert(const types::TypeRef& a, const types::TypeRef& b,
 
 FuseCacheStats FuseCache::stats() const {
   FuseCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
+    s.hits += shard.hits;
+    s.misses += shard.misses;
+    s.evictions += shard.evictions;
     s.size += shard.map.size();
   }
   return s;
@@ -78,10 +78,10 @@ void FuseCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.map.clear();
+    shard.hits = 0;
+    shard.misses = 0;
+    shard.evictions = 0;
   }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace jsonsi::fusion

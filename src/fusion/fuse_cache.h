@@ -24,12 +24,13 @@
 //
 // Hit/miss/evict counters are kept internally (always, for bench reporting)
 // and mirrored into the global MetricsRegistry (when telemetry is enabled)
-// as fusecache.hits / fusecache.misses / fusecache.evictions.
+// as fusecache.hits / fusecache.misses / fusecache.evictions. The internal
+// ones live in each shard and are bumped under the shard lock already held,
+// so workers share no counter cache line; stats() sums the shards exactly.
 
 #ifndef JSONSI_FUSION_FUSE_CACHE_H_
 #define JSONSI_FUSION_FUSE_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -107,9 +108,13 @@ class FuseCache {
     types::TypeRef hi;
     types::TypeRef result;
   };
-  struct Shard {
+  // Cache-line aligned so that workers on different shards share no line.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     std::unordered_map<Key, Entry, KeyHash> map;
+    uint64_t hits = 0;  // counters: guarded by mu
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
   };
 
   static Key MakeKey(const types::TypeRef& a, const types::TypeRef& b,
@@ -129,9 +134,6 @@ class FuseCache {
   size_t shard_mask_ = 0;
   size_t per_shard_capacity_ = 0;
   mutable std::vector<Shard> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace jsonsi::fusion

@@ -511,23 +511,6 @@ TypedChunkOutcome InferJsonLinesChunk(std::string_view chunk,
   return out;
 }
 
-void AnnotateChunkPrefix(std::string_view chunk,
-                         const json::ParseOptions& parse, bool first_chunk,
-                         size_t records, annotate::Annotation* acc) {
-  size_t pos = 0;
-  size_t lines_read = 0;
-  size_t kept = 0;
-  while (pos < chunk.size() && kept < records) {
-    size_t nl = json::simd::FindNewline(chunk, pos);
-    std::string_view line = chunk.substr(pos, nl - pos);
-    pos = nl < chunk.size() ? nl + 1 : chunk.size();
-    ++lines_read;
-    line = json::internal::UndecorateLine(line, first_chunk && lines_read == 1);
-    if (json::internal::IsBlankLine(line)) continue;
-    if (DirectInferType(line, parse, acc).ok()) ++kept;
-  }
-}
-
 json::ChunkReplay ReplayChunkPolicy(
     const std::vector<TypedChunkOutcome>& outcomes,
     const json::IngestOptions& options, json::IngestStats* stats) {

@@ -63,8 +63,9 @@ struct TypedChunkOutcome : json::ChunkIngest {
   std::vector<types::TypeRef> types;
   /// Eagerly folded annotation of the chunk's well-formed lines (non-null
   /// only when the worker ran with annotate=true). Each accepted line is
-  /// observed straight into this accumulator, so memory stays O(chunks);
-  /// the replay's abort exclusions are repaired by AnnotateChunkPrefix.
+  /// observed straight into this accumulator, so memory stays O(chunks).
+  /// A replay that keeps only part of a chunk also fails the read, so the
+  /// whole-chunk fold is all a successful read ever merges.
   std::unique_ptr<annotate::Annotation> annotation;
 };
 
@@ -80,16 +81,6 @@ TypedChunkOutcome InferJsonLinesChunk(std::string_view chunk,
                                       const json::ParseOptions& parse,
                                       size_t max_recorded_errors,
                                       bool first_chunk, bool annotate = false);
-
-/// Re-annotates the first `records` well-formed lines of `chunk` into
-/// `acc`. Used for the chunk a policy replay aborts inside: its eager
-/// whole-chunk fold includes excluded records, so the included prefix is
-/// re-scanned instead (same line machinery, DirectInferType per line).
-/// Deterministic, so serial == chunk-parallel annotations hold exactly
-/// even on aborted runs.
-void AnnotateChunkPrefix(std::string_view chunk,
-                         const json::ParseOptions& parse, bool first_chunk,
-                         size_t records, annotate::Annotation* acc);
 
 /// Replays the malformed-line policy over typed chunk outcomes through the
 /// payload-agnostic json::ReplayChunkPolicy, so abort points, statuses and

@@ -40,7 +40,8 @@ TypeInterner& TypeInterner::Global() {
 
 TypeRef TypeInterner::Intern(TypeRef t) {
   if (!t || t->size() > options_.max_type_size) {
-    pass_through_.fetch_add(1, std::memory_order_relaxed);
+    ShardFor(t ? t->hash() : 0)
+        .pass_through.fetch_add(1, std::memory_order_relaxed);
     JSONSI_COUNTER("intern.pass_through").Increment();
     return t;
   }
@@ -48,7 +49,7 @@ TypeRef TypeInterner::Intern(TypeRef t) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.set.find(t);
   if (it != shard.set.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.hits;
     JSONSI_COUNTER("intern.hits").Increment();
     return *it;
   }
@@ -56,11 +57,12 @@ TypeRef TypeInterner::Intern(TypeRef t) {
     // Hash-cons eviction is always safe: the displaced shape just loses its
     // shared representative; nodes stay alive through their own TypeRefs.
     shard.set.erase(shard.set.begin());
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.evictions;
     JSONSI_COUNTER("intern.evictions").Increment();
   }
+  t->MarkCanonical();
   shard.set.insert(t);
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  ++shard.misses;
   JSONSI_COUNTER("intern.misses").Increment();
   return t;
 }
@@ -75,12 +77,12 @@ bool TypeInterner::Contains(const TypeRef& t) const {
 
 InternerStats TypeInterner::stats() const {
   InternerStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.pass_through = pass_through_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
+    s.hits += shard.hits;
+    s.misses += shard.misses;
+    s.evictions += shard.evictions;
+    s.pass_through += shard.pass_through.load(std::memory_order_relaxed);
     s.size += shard.set.size();
   }
   return s;
@@ -90,11 +92,11 @@ void TypeInterner::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.set.clear();
+    shard.hits = 0;
+    shard.misses = 0;
+    shard.evictions = 0;
+    shard.pass_through.store(0, std::memory_order_relaxed);
   }
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  pass_through_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace jsonsi::types

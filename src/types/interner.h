@@ -27,6 +27,14 @@
 //   * Never wrong: Intern() returns a node structurally equal to its input
 //     (possibly the input itself). All optimizations that build on interning
 //     are validated by the differential suite in tests/interning_test.cc.
+//   * Canonical flag: a node that becomes resident is marked
+//     `Type::canonical()`. The mark means "was canonical once" and outlives
+//     eviction; fusion skips re-interning marked operands, and a stale mark
+//     only costs fusion-memo hits (types/type.h, fusion/fuse.h).
+//   * No shared counters: hit/miss/eviction counts live in each shard and
+//     are bumped under the shard lock already held; pass-through counts
+//     (no lock taken) are relaxed atomics in the shard the input hashes to.
+//     stats() sums the shards, so the counts are exact under contention.
 //
 // The process-global toggle `SetInterningEnabled` is the escape hatch wired
 // to `jsi --no-intern`; it also gates the fusion memo and the TreeFuser
@@ -98,9 +106,14 @@ class TypeInterner {
   const InternerOptions& options() const { return options_; }
 
  private:
-  struct Shard {
+  // Cache-line aligned so that workers on different shards share no line.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     std::unordered_set<TypeRef, TypeRefHash, TypeRefEq> set;
+    uint64_t hits = 0;  // hits..evictions: guarded by mu
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+    std::atomic<uint64_t> pass_through{0};
   };
 
   Shard& ShardFor(uint64_t hash) const {
@@ -113,10 +126,6 @@ class TypeInterner {
   size_t shard_mask_ = 0;
   size_t per_shard_capacity_ = 0;
   mutable std::vector<Shard> shards_;
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> pass_through_{0};
 };
 
 /// Process-global switch for the whole interning/memoization stack (type

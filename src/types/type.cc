@@ -27,59 +27,38 @@ uint64_t SeedFor(TypeNode node) { return kNodeSeed[static_cast<size_t>(node)]; }
 // All factories are static members of Type, so they may construct nodes and
 // fill the private state directly; no other code can.
 
-namespace {
-// Helper visible only here; takes the pieces and finishes a node. Defined as
-// a lambda-style free function operating on a Type* via friend-less access is
-// impossible, so each factory fills its own node inline.
-}  // namespace
+TypeRef Type::Singleton(TypeNode node) {
+  // Never freed: the node lives for the whole process, and the aliasing
+  // TypeRef has no control block, so copies never touch a reference count.
+  Type* n = new Type();
+  n->node_ = node;
+  n->hash_ = SeedFor(node);
+  n->canonical_.store(true, std::memory_order_relaxed);
+  return TypeRef(TypeRef(), n);
+}
 
 TypeRef Type::Null() {
-  static const TypeRef t = [] {
-    auto n = std::shared_ptr<Type>(new Type());
-    n->node_ = TypeNode::kNull;
-    n->hash_ = SeedFor(TypeNode::kNull);
-    return n;
-  }();
+  static const TypeRef t = Singleton(TypeNode::kNull);
   return t;
 }
 
 TypeRef Type::Bool() {
-  static const TypeRef t = [] {
-    auto n = std::shared_ptr<Type>(new Type());
-    n->node_ = TypeNode::kBool;
-    n->hash_ = SeedFor(TypeNode::kBool);
-    return n;
-  }();
+  static const TypeRef t = Singleton(TypeNode::kBool);
   return t;
 }
 
 TypeRef Type::Num() {
-  static const TypeRef t = [] {
-    auto n = std::shared_ptr<Type>(new Type());
-    n->node_ = TypeNode::kNum;
-    n->hash_ = SeedFor(TypeNode::kNum);
-    return n;
-  }();
+  static const TypeRef t = Singleton(TypeNode::kNum);
   return t;
 }
 
 TypeRef Type::Str() {
-  static const TypeRef t = [] {
-    auto n = std::shared_ptr<Type>(new Type());
-    n->node_ = TypeNode::kStr;
-    n->hash_ = SeedFor(TypeNode::kStr);
-    return n;
-  }();
+  static const TypeRef t = Singleton(TypeNode::kStr);
   return t;
 }
 
 TypeRef Type::Empty() {
-  static const TypeRef t = [] {
-    auto n = std::shared_ptr<Type>(new Type());
-    n->node_ = TypeNode::kEmpty;
-    n->hash_ = SeedFor(TypeNode::kEmpty);
-    return n;
-  }();
+  static const TypeRef t = Singleton(TypeNode::kEmpty);
   return t;
 }
 

@@ -26,10 +26,27 @@
 // Every node caches a structural hash and its AST size (the paper's type-size
 // metric, Section 6.2) at construction, so distinct-type counting and the
 // size statistics of Tables 2-5 are cheap at dataset scale.
+//
+// Nodes shared by concurrent workers must not be written on the hot path:
+// every copy or drop of a TypeRef is an atomic read-modify-write on the
+// node's control block, and when all workers hit the same node that one
+// cache line serializes them. Two rules follow:
+//   * Immortal singletons. Null, Bool, Num, Str and eps exist once per
+//     process, in storage that is never freed, behind an aliasing TypeRef
+//     with no control block: copying or dropping one touches no reference
+//     count. Basic and eps nodes are never built any other way, so pointer
+//     equality decides equality among them.
+//   * The canonical flag. `canonical()` is a relaxed-atomic bit that an
+//     interner (types/interner.h) sets when it makes a node resident; the
+//     singletons are born with it. It means "was canonical once": eviction
+//     does not clear it, so a stale flag only costs fusion-memo hits (the
+//     memo keys on node identity), never correctness. Fusion uses flagged
+//     operands as they are instead of re-interning them (fusion/fuse.h).
 
 #ifndef JSONSI_TYPES_TYPE_H_
 #define JSONSI_TYPES_TYPE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -156,10 +173,26 @@ class Type {
   /// Deep structural equality on canonical forms.
   bool Equals(const Type& other) const;
 
+  /// Whether an interner has ever made this node its resident
+  /// representative (always true for the singletons). See the file comment.
+  bool canonical() const {
+    return canonical_.load(std::memory_order_relaxed);
+  }
+
  private:
+  friend class TypeInterner;  // the only writer of canonical_
+
   Type() = default;
 
+  /// Builds the immortal singleton of a basic or eps node shape.
+  static TypeRef Singleton(TypeNode node);
+
+  void MarkCanonical() const {
+    canonical_.store(true, std::memory_order_relaxed);
+  }
+
   TypeNode node_ = TypeNode::kNull;
+  mutable std::atomic<bool> canonical_{false};  // fits node_'s padding
   std::vector<FieldType> fields_;   // kRecord
   std::vector<TypeRef> children_;   // kArrayExact elements / kArrayStar body /
                                     // kUnion alternatives

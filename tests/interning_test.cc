@@ -27,7 +27,10 @@
 #include "fusion/fuse.h"
 #include "fusion/fuse_cache.h"
 #include "fusion/tree_fuser.h"
+#include "inference/direct_infer.h"
 #include "inference/infer.h"
+#include "json/parser.h"
+#include "json/serializer.h"
 #include "random_value_gen.h"
 #include "telemetry/metrics.h"
 #include "telemetry/telemetry.h"
@@ -316,6 +319,30 @@ TEST(TypeInternerTest, OversizeTypesPassThrough) {
   EXPECT_FALSE(interner.Contains(big));
 }
 
+TEST(TypeInternerTest, SingletonsAreImmortalAndCanonical) {
+  // Basic and eps singletons carry no control block (copies touch no
+  // reference count) and are born canonical; other nodes become canonical
+  // when an interner makes them resident, and stay so after eviction.
+  for (const TypeRef& t :
+       {Type::Null(), Type::Bool(), Type::Num(), Type::Str(), Type::Empty()}) {
+    EXPECT_EQ(t.use_count(), 0);
+    EXPECT_TRUE(t->canonical());
+  }
+  EXPECT_EQ(Type::Num().get(), Type::Basic(types::Kind::kNum).get());
+  InternerOptions opts;
+  opts.num_shards = 1;
+  opts.capacity = 1;
+  TypeInterner interner(opts);
+  TypeRef a = Type::RecordUnchecked({{"a", Type::Num(), false}});
+  TypeRef b = Type::RecordUnchecked({{"b", Type::Num(), false}});
+  EXPECT_FALSE(a->canonical());
+  EXPECT_EQ(interner.Intern(a).get(), a.get());
+  EXPECT_TRUE(a->canonical());
+  interner.Intern(b);  // evicts a
+  EXPECT_FALSE(interner.Contains(a));
+  EXPECT_TRUE(a->canonical());  // "was canonical once"
+}
+
 TEST(FuseCacheTest, CommutativelyNormalizedKeysShareOneEntry) {
   FuseCache cache;
   TypeRef a = Type::RecordUnchecked({{"a", Type::Num(), false}});
@@ -365,15 +392,19 @@ TEST(MemoizedFuseTest, CacheHitsAreStructurallyExact) {
   for (const ValueRef& v : values) ts.push_back(inference::InferType(*v));
   const Fuser memo;
   std::vector<TypeRef> first, second;
+  // Identical basic operands (LFuse(B, B) = B) are answered before the memo;
+  // every other pair goes through it and hits exactly once at its root.
+  uint64_t memo_pairs = 0;
   for (size_t i = 0; i + 1 < ts.size(); i += 2) {
     first.push_back(memo.Fuse(ts[i], ts[i + 1]));
+    if (!(ts[i]->is_basic() && ts[i] == ts[i + 1])) ++memo_pairs;
   }
+  ASSERT_GT(memo_pairs, 0u);
   uint64_t hits_before = FuseCache::Global().stats().hits;
   for (size_t i = 0; i + 1 < ts.size(); i += 2) {
     second.push_back(memo.Fuse(ts[i], ts[i + 1]));
   }
-  EXPECT_GE(FuseCache::Global().stats().hits,
-            hits_before + first.size());
+  EXPECT_EQ(FuseCache::Global().stats().hits, hits_before + memo_pairs);
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].get(), second[i].get());
   }
@@ -499,6 +530,131 @@ TEST(InterningConcurrencyTest, ParallelInternAndFuseStayConsistent) {
   auto cstats = FuseCache::Global().stats();
   EXPECT_GT(cstats.hits, 0u);
   EXPECT_LE(cstats.size, FuseCache::Global().options().capacity);
+}
+
+TEST(InterningConcurrencyTest, DirectTypingAndTreeFuseMatchSerialFold) {
+  // The Map/Reduce hot path as the chunk workers run it: 4 threads type
+  // overlapping halves of a Twitter + Wikidata corpus with DirectInferType
+  // and fold them with TreeFuser, all through the global tables, cleared
+  // first. Canonical operands skip re-interning and the table counters
+  // live in the shards; neither may change a result or lose a count.
+  constexpr size_t kThreads = 4;
+  std::vector<std::string> lines;
+  for (auto [id, n] : {std::pair{datagen::DatasetId::kTwitter, size_t{240}},
+                       std::pair{datagen::DatasetId::kWikidata, size_t{160}}}) {
+    for (const ValueRef& v : datagen::MakeGenerator(id, 31)->GenerateMany(n)) {
+      lines.push_back(json::ToJson(*v));
+    }
+  }
+  // Worker w folds the half of the corpus starting at its quarter
+  // (wrapping), so every line is typed by two workers.
+  auto slice = [&lines](size_t w, size_t k) {
+    return lines[(w * lines.size() / kThreads + k) % lines.size()];
+  };
+  const size_t half = lines.size() / 2;
+
+  std::vector<TypeRef> serial(kThreads);
+  TypeRef serial_reduced;
+  {
+    ScopedInterning off(false);
+    TreeFuser all{PlainFuser()};
+    for (size_t w = 0; w < kThreads; ++w) {
+      TreeFuser fuser{PlainFuser()};
+      for (size_t k = 0; k < half; ++k) {
+        fuser.Add(inference::InferType(*json::Parse(slice(w, k)).value()));
+      }
+      serial[w] = fuser.Finish();
+      all.Add(serial[w]);
+    }
+    serial_reduced = all.Finish();
+  }
+
+  ScopedInterning on(true);
+  TypeInterner::Global().Clear();
+  FuseCache::Global().Clear();
+  telemetry::MetricsRegistry::Global().ResetAll();
+  telemetry::SetEnabled(true);
+  std::vector<TypeRef> partials(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      TreeFuser fuser;
+      for (size_t k = 0; k < half; ++k) {
+        fuser.Add(inference::DirectInferType(slice(w, k)).value());
+      }
+      partials[w] = fuser.Finish();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  TreeFuser all;
+  for (const TypeRef& p : partials) all.Add(p);
+  TypeRef reduced = all.Finish();
+  telemetry::SetEnabled(false);
+
+  for (size_t w = 0; w < kThreads; ++w) {
+    EXPECT_TRUE(TypeEquals(partials[w], serial[w])) << "worker " << w;
+  }
+  EXPECT_TRUE(TypeEquals(reduced, serial_reduced));
+
+  // Every Intern call lands in exactly one of hits / misses / pass_through:
+  // the per-shard counts sum to the call count the (sharded, atomic)
+  // telemetry counters saw at the same call sites. Same for the memo.
+  auto snap = telemetry::MetricsRegistry::Global().Snapshot();
+  const auto is = TypeInterner::Global().stats();
+  const uint64_t intern_calls = snap.CounterValue("intern.hits") +
+                                snap.CounterValue("intern.misses") +
+                                snap.CounterValue("intern.pass_through");
+  EXPECT_GT(is.hits, 0u);
+  EXPECT_EQ(is.hits + is.misses + is.pass_through, intern_calls);
+  EXPECT_EQ(is.evictions, snap.CounterValue("intern.evictions"));
+  const auto cs = FuseCache::Global().stats();
+  EXPECT_GT(cs.hits, 0u);
+  EXPECT_EQ(cs.hits + cs.misses, snap.CounterValue("fusecache.hits") +
+                                     snap.CounterValue("fusecache.misses"));
+  telemetry::MetricsRegistry::Global().ResetAll();
+
+  // Identical basic operands: the singleton comes back and no table
+  // counter moves.
+  const TypeRef str = Type::Str();
+  EXPECT_EQ(Fuser().Fuse(str, Type::Str()).get(), str.get());
+  const auto is2 = TypeInterner::Global().stats();
+  const auto cs2 = FuseCache::Global().stats();
+  EXPECT_EQ(is2.hits + is2.misses + is2.pass_through,
+            is.hits + is.misses + is.pass_through);
+  EXPECT_EQ(cs2.hits + cs2.misses, cs.hits + cs.misses);
+}
+
+TEST(InterningConcurrencyTest, ShardCountersAreExactUnderContention) {
+  // A known number of Intern calls from 4 threads on one small table
+  // (evicting, with some inputs over the size cap): hits + misses +
+  // pass_through equals the call count exactly.
+  InternerOptions iopts;
+  iopts.num_shards = 4;
+  iopts.capacity = 4;
+  iopts.max_type_size = 16;
+  TypeInterner interner(iopts);
+  auto pool = jsonsi::testing::RandomValues(37, 64);
+  std::vector<TypeRef> ts;
+  {
+    ScopedInterning off(false);
+    for (const ValueRef& v : pool) ts.push_back(inference::InferType(*v));
+  }
+  constexpr size_t kThreads = 4;
+  constexpr size_t kCalls = 5000;
+  std::vector<std::thread> threads;
+  for (size_t tid = 0; tid < kThreads; ++tid) {
+    threads.emplace_back([&, tid] {
+      for (size_t i = 0; i < kCalls; ++i) {
+        interner.Intern(ts[(i * (tid + 1)) % ts.size()]);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const auto s = interner.stats();
+  EXPECT_EQ(s.hits + s.misses + s.pass_through, kThreads * kCalls);
+  EXPECT_GT(s.pass_through, 0u);
+  EXPECT_GT(s.evictions, 0u);
+  EXPECT_LE(s.size, 4u);
 }
 
 TEST(InterningConcurrencyTest, DedicatedTablesUnderContention) {

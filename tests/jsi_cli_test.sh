@@ -81,18 +81,31 @@ fi
 
 # leftover arguments are usage errors (exit 1), not silently ignored: an
 # unknown or removed flag, a misspelt flag with its value, a second input.
+# `jsi <command> <args>...` must exit 1.
 expect_usage_error() {
   set +e
-  "$JSI" infer "$@" > /dev/null 2>&1
+  "$JSI" "$@" > /dev/null 2>&1
   rc=$?
   set -e
   if [ "$rc" != 1 ]; then
-    echo "expected usage error (exit 1) from: infer $*, got $rc"; exit 1
+    echo "expected usage error (exit 1) from: $*, got $rc"; exit 1
   fi
 }
-expect_usage_error "$TMP/gh.jsonl" --no-direct
-expect_usage_error "$TMP/gh.jsonl" --thread 4
-expect_usage_error "$TMP/gh.jsonl" "$TMP/gh_head.jsonl"
+expect_usage_error infer "$TMP/gh.jsonl" --no-direct
+expect_usage_error infer "$TMP/gh.jsonl" --thread 4
+expect_usage_error infer "$TMP/gh.jsonl" "$TMP/gh_head.jsonl"
+# ...and so on every other subcommand, which keeps its own arity.
+expect_usage_error export "$TMP/gh.jsonl" --no-direct
+expect_usage_error paths "$TMP/gh.jsonl" "$TMP/gh_head.jsonl" --bogus
+expect_usage_error paths "$TMP/gh.jsonl" "$TMP/gh_head.jsonl"
+expect_usage_error codegen "$TMP/gh.jsonl" --root
+expect_usage_error annotate "$TMP/gh.jsonl" --stats
+expect_usage_error diff "$TMP/old.types" "$TMP/new.types" "$TMP/old.types"
+expect_usage_error expand "$TMP/gh.jsonl" extra --pattern '*.repo.name'
+expect_usage_error repo show "$TMP/repo.txt" firehose extra
+expect_usage_error gen github 5 --sed 3
+expect_usage_error gen github five
+expect_usage_error gen github 5 --seed x
 
 # annotation: --annotate reports refinements, exports enriched JSON Schema,
 # and produces identical output serial vs parallel.

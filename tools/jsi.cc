@@ -103,7 +103,9 @@
 //                          with a warning; unknown names are a usage error.
 //                          Equivalent to JSI_FORCE_KERNEL=<kernel>; the
 //                          flag wins when both are given.
-//   Value flags accept `--flag value` and `--flag=value` spellings.
+//   Value flags accept `--flag value` and `--flag=value` spellings. On
+//   every subcommand an unknown flag or a surplus positional argument is a
+//   usage error (exit 1), never silently ignored.
 //
 // Exit codes: 0 success, 1 usage error, 2 runtime/validation failure,
 // 3 interrupted by SIGINT/SIGTERM with state saved (checkpointed infer).
@@ -241,6 +243,28 @@ int BadFlagValue(const std::string& flag, const std::string& value) {
   std::cerr << "jsi: " << flag << " needs a numeric value, got '" << value
             << "'\n";
   return Usage();
+}
+
+// Called by every subcommand once its known flags are consumed: what is
+// left must be `min`..`max` positional arguments. A leftover `--flag` (a
+// typo, or a flag this version does not have) or a surplus input is a usage
+// error, never silently ignored. `-` (stdin) is a positional.
+bool CheckPositionals(const std::vector<std::string>& args,
+                      const char* command, size_t min, size_t max) {
+  for (const std::string& arg : args) {
+    if (arg.size() > 1 && arg[0] == '-') {
+      std::cerr << "jsi: unknown " << command << " flag '" << arg << "'\n";
+      return false;
+    }
+  }
+  if (args.size() > max) {
+    std::cerr << "jsi: " << command << " takes "
+              << (max == 1 ? std::string("one input")
+                           : "at most " + std::to_string(max) + " arguments")
+              << ", got " << args.size() << "\n";
+    return false;
+  }
+  return args.size() >= min;
 }
 
 // --stats report shared by the batch and checkpointed-streaming infer paths.
@@ -507,20 +531,7 @@ int RunInfer(std::vector<std::string> args) {
                  "run without a checkpoint to collect annotations\n";
     return Usage();
   }
-  // Every known flag is consumed by now. What is left must be exactly one
-  // input: a leftover `--flag` (a typo, or a flag this version does not
-  // have) or a second input is a usage error, never silently ignored.
-  if (args.empty()) return Usage();
-  for (const std::string& arg : args) {
-    if (arg.size() > 1 && arg[0] == '-') {
-      std::cerr << "jsi: unknown infer flag '" << arg << "'\n";
-      return Usage();
-    }
-  }
-  if (args.size() > 1) {
-    std::cerr << "jsi: infer takes one input, got " << args.size() << "\n";
-    return Usage();
-  }
+  if (!CheckPositionals(args, "infer", 1, 1)) return Usage();
   // The input source (mmap / pread / stdin pipe, per --io) replaces the old
   // whole-file slurp: mapped files take the zero-copy chunk-parallel path,
   // everything else pumps bounded batches, so files larger than RAM infer
@@ -575,9 +586,21 @@ int RunInfer(std::vector<std::string> args) {
 }
 
 int RunGen(std::vector<std::string> args) {
-  if (args.size() < 2) return Usage();
   uint64_t seed = 42;
-  if (auto s = FlagValue(args, "--seed")) seed = std::stoull(*s);
+  if (auto s = FlagValue(args, "--seed")) {
+    try {
+      seed = std::stoull(*s);
+    } catch (const std::exception&) {
+      return BadFlagValue("--seed", *s);
+    }
+  }
+  if (!CheckPositionals(args, "gen", 2, 2)) return Usage();
+  uint64_t count = 0;
+  try {
+    count = std::stoull(args[1]);
+  } catch (const std::exception&) {
+    return BadFlagValue("<count>", args[1]);
+  }
   jsonsi::datagen::DatasetId id;
   if (args[0] == "github") {
     id = jsonsi::datagen::DatasetId::kGitHub;
@@ -590,7 +613,6 @@ int RunGen(std::vector<std::string> args) {
   } else {
     return Usage();
   }
-  uint64_t count = std::stoull(args[1]);
   auto gen = jsonsi::datagen::MakeGenerator(id, seed);
   std::string line;
   for (uint64_t i = 0; i < count; ++i) {
@@ -603,7 +625,7 @@ int RunGen(std::vector<std::string> args) {
 }
 
 int RunPaths(std::vector<std::string> args) {
-  if (args.empty()) return Usage();
+  if (!CheckPositionals(args, "paths", 1, 1)) return Usage();
   auto values = ReadInput(args[0]);
   if (!values.ok()) {
     std::cerr << "jsi: " << values.status() << "\n";
@@ -619,7 +641,7 @@ int RunPaths(std::vector<std::string> args) {
 
 int RunCheck(std::vector<std::string> args) {
   auto schema_text = FlagValue(args, "--schema");
-  if (args.empty() || !schema_text) return Usage();
+  if (!CheckPositionals(args, "check", 1, 1) || !schema_text) return Usage();
   auto type = jsonsi::types::ParseType(*schema_text);
   if (!type.ok()) {
     std::cerr << "jsi: bad --schema: " << type.status() << "\n";
@@ -648,7 +670,7 @@ int RunCheck(std::vector<std::string> args) {
 
 int RunExport(std::vector<std::string> args) {
   bool annotate = Flag(args, "--annotate");
-  if (args.empty()) return Usage();
+  if (!CheckPositionals(args, "export", 1, 1)) return Usage();
   auto values = ReadInput(args[0]);
   if (!values.ok()) {
     std::cerr << "jsi: " << values.status() << "\n";
@@ -672,8 +694,8 @@ int RunExport(std::vector<std::string> args) {
 }
 
 int RunAnnotate(std::vector<std::string> args) {
-  if (args.empty()) return Usage();
   bool stats = !Flag(args, "--no-stats");
+  if (!CheckPositionals(args, "annotate", 1, 1)) return Usage();
   auto values = ReadInput(args[0]);
   if (!values.ok()) {
     std::cerr << "jsi: " << values.status() << "\n";
@@ -736,7 +758,7 @@ int RunDiffData(const std::string& before_path, const std::string& after_path) {
 
 int RunDiff(std::vector<std::string> args) {
   bool data = Flag(args, "--data");
-  if (args.size() != 2) return Usage();
+  if (!CheckPositionals(args, "diff", 2, 2)) return Usage();
   if (data) return RunDiffData(args[0], args[1]);
   auto before = ReadTypeFile(args[0]);
   auto after = ReadTypeFile(args[1]);
@@ -755,7 +777,7 @@ int RunDiff(std::vector<std::string> args) {
 }
 
 int RunAnalyze(std::vector<std::string> args) {
-  if (args.empty()) return Usage();
+  if (!CheckPositionals(args, "analyze", 1, 1)) return Usage();
   auto values = ReadInput(args[0]);
   if (!values.ok()) {
     std::cerr << "jsi: " << values.status() << "\n";
@@ -780,7 +802,7 @@ int RunAnalyze(std::vector<std::string> args) {
 
 int RunExpand(std::vector<std::string> args) {
   auto pattern = FlagValue(args, "--pattern");
-  if (args.empty() || !pattern) return Usage();
+  if (!CheckPositionals(args, "expand", 1, 1) || !pattern) return Usage();
   auto values = ReadInput(args[0]);
   if (!values.ok()) {
     std::cerr << "jsi: " << values.status() << "\n";
@@ -797,7 +819,8 @@ int RunExpand(std::vector<std::string> args) {
 }
 
 int RunRepo(std::vector<std::string> args) {
-  if (args.size() < 2) return Usage();
+  // `repo add <repo> <source> <input>` or `repo show <repo> [source]`.
+  if (!CheckPositionals(args, "repo", 2, 4)) return Usage();
   const std::string& action = args[0];
   const std::string& path = args[1];
   if (action == "add") {
@@ -836,6 +859,7 @@ int RunRepo(std::vector<std::string> args) {
     return 0;
   }
   if (action == "show") {
+    if (args.size() > 3) return Usage();
     auto loaded = jsonsi::repository::SchemaRepository::LoadFromFile(path);
     if (!loaded.ok()) {
       std::cerr << "jsi: " << loaded.status() << "\n";
@@ -869,7 +893,7 @@ int RunCodegen(std::vector<std::string> args) {
   jsonsi::exporter::CppCodegenOptions options;
   if (auto root = FlagValue(args, "--root")) options.root_name = *root;
   if (auto ns = FlagValue(args, "--namespace")) options.namespace_name = *ns;
-  if (args.empty()) return Usage();
+  if (!CheckPositionals(args, "codegen", 1, 1)) return Usage();
   auto values = ReadInput(args[0]);
   if (!values.ok()) {
     std::cerr << "jsi: " << values.status() << "\n";
@@ -905,7 +929,7 @@ int RunServe(std::vector<std::string> args) {
       return BadFlagValue("--max-body-mb", *m);
     }
   }
-  if (!args.empty()) return Usage();
+  if (!CheckPositionals(args, "serve", 0, 0)) return Usage();
 
   jsonsi::server::InferenceServer server(options);
   if (jsonsi::Status st = server.Start(); !st.ok()) {
